@@ -9,7 +9,6 @@ classification utilities.
 
 from .alignment import (
     TrajectoryPair,
-    TSRVFSequence,
     WarpingFunction,
     align_dq,
     apply_warp,
@@ -17,8 +16,6 @@ from .alignment import (
     evaluate_trajectory,
     random_warp,
     resample_trajectory,
-    tsrvf,
-    velocity_field,
 )
 from .analysis import (
     CVReport,

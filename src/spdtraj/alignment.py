@@ -8,6 +8,15 @@ distance between start points with the L2 gap between TSRVFs (the first one
 carried across the baseline geodesic).  The aligned distance ``align_dq``
 minimizes that gap over endpoint-preserving time warps.
 
+Both work on stacked samples.  Resampling (``resample_trajectory``,
+``evaluate_trajectory``, ``apply_warp``) decomposes each input interval once
+and evaluates all output points on it together.  The TSRVF features are
+built in one pass: each consecutive pair of samples is decomposed once,
+which gives the forward velocity and the transport rotation (transport
+backwards along a geodesic is the transpose).  The backward difference at
+the last sample, carried back to the start, equals the row before it, since
+a geodesic's velocity is parallel along it.
+
 The warp search follows the fast approximation: dynamic programming over
 monotone lattice paths with local moves {(1,1), (1,2), (2,1)}, followed by a
 local refinement of the warp that removes the staircase artifacts of the
@@ -32,12 +41,10 @@ import numpy as np
 from .estimation import CovarianceTrajectory, normalize_trajectory
 from .geometry import (
     DimensionMismatchError,
-    Tangent,
     dist_unitdet,
-    exp_map,
-    log_map,
-    require_unit_det,
-    symmetrize,
+    geodesic_points,
+    log_map,  # unused here; perfbench/tracer.py wraps alignment.log_map
+    log_map_and_rotation,
     transport_rotation,
 )
 
@@ -99,23 +106,6 @@ class WarpingFunction:
 
 
 @dataclass(frozen=True)
-class TSRVFSequence:
-    """TSRVF samples of a trajectory: vectors anchored at the start point."""
-
-    base: np.ndarray  # alpha(0)
-    vectors: np.ndarray  # (T, n, n) identity-chart coordinates
-    times: np.ndarray
-
-    @property
-    def length(self) -> int:
-        return self.vectors.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.base.shape[0]
-
-
-@dataclass(frozen=True)
 class TrajectoryPair:
     """Two trajectories of equal matrix dimension (lengths may differ)."""
 
@@ -129,38 +119,35 @@ class TrajectoryPair:
             )
 
 
-def _interp_spd(P1: np.ndarray, P2: np.ndarray, u: float) -> np.ndarray:
-    """Geodesic interpolation valid for general SPD matrices.
+def _evaluate(traj: CovarianceTrajectory, s: np.ndarray) -> np.ndarray:
+    """Trajectory values at times ``s`` by geodesic interpolation of stored samples.
 
-    The unit-determinant part follows the quotient geodesic while the log-det
-    channel interpolates linearly: the point is ``sqrt(P1 M^u P1)`` with
-    ``M = P1^-1 P2^2 P1^-1``.
+    Points within 1e-12 (relative to their interval) of a stored sample take
+    that sample; the others are interpolated, decomposing each input
+    interval once for all points on it.
     """
-    from .geometry import _eigh_pd, sym_sqrt
-
-    Y = np.linalg.solve(P1, P2)
-    w, U = _eigh_pd(symmetrize(Y @ Y.T))
-    Mu = symmetrize((U * w**u) @ U.T)
-    return sym_sqrt(symmetrize(P1 @ Mu @ P1))
+    times, mats = traj.times, traj.matrices
+    bad = (s < times[0] - 1e-12) | (s > times[-1] + 1e-12)
+    if bad.any():
+        raise ValueError(
+            f"time {s[bad][0]} outside trajectory range [{times[0]}, {times[-1]}]"
+        )
+    if traj.length == 1:
+        return np.repeat(mats, s.size, axis=0)
+    s = np.clip(s, times[0], times[-1])
+    k = np.clip(np.searchsorted(times, s, side="right") - 1, 0, traj.length - 2)
+    u = (s - times[k]) / (times[k + 1] - times[k])
+    inner = (u > 1e-12) & (u < 1 - 1e-12)
+    ks, pair = np.unique(k[inner], return_inverse=True)
+    points = geodesic_points(mats[ks], mats[ks + 1], pair, u[inner])
+    out = mats[np.where(u >= 1 - 1e-12, k + 1, k)]
+    out[inner] = points
+    return out
 
 
 def evaluate_trajectory(traj: CovarianceTrajectory, s: float) -> np.ndarray:
     """Trajectory value at time ``s`` by geodesic interpolation of stored samples."""
-    times = traj.times
-    if s < times[0] - 1e-12 or s > times[-1] + 1e-12:
-        raise ValueError(f"time {s} outside trajectory range [{times[0]}, {times[-1]}]")
-    s = min(max(s, times[0]), times[-1])
-    k = int(np.searchsorted(times, s, side="right") - 1)
-    k = min(max(k, 0), traj.length - 2) if traj.length > 1 else 0
-    if traj.length == 1:
-        return traj.matrices[0].copy()
-    t0, t1 = times[k], times[k + 1]
-    u = (s - t0) / (t1 - t0)
-    if u <= 1e-12:
-        return traj.matrices[k].copy()
-    if u >= 1 - 1e-12:
-        return traj.matrices[k + 1].copy()
-    return _interp_spd(traj.matrices[k], traj.matrices[k + 1], u)
+    return _evaluate(traj, np.array([float(s)]))[0]
 
 
 def resample_trajectory(traj: CovarianceTrajectory, T_out: int) -> CovarianceTrajectory:
@@ -172,71 +159,7 @@ def resample_trajectory(traj: CovarianceTrajectory, T_out: int) -> CovarianceTra
     ):
         return traj
     s_new = np.linspace(traj.times[0], traj.times[-1], T_out) if T_out > 1 else traj.times[:1]
-    mats = np.array([evaluate_trajectory(traj, s) for s in s_new])
-    return CovarianceTrajectory(matrices=mats)
-
-
-def velocity_field(traj: CovarianceTrajectory) -> list[Tangent]:
-    """Finite-difference velocities, anchored at each sample point.
-
-    Interior points use the forward geodesic difference
-    ``log_map(P_k, P_{k+1}) / dt``; the final point uses the backward one.
-    Requires a unit-determinant trajectory.
-    """
-    if traj.length < 2:
-        raise ValueError("velocity field needs at least 2 samples")
-    for P in traj.matrices:
-        require_unit_det(P)
-    out = []
-    times = traj.times
-    for k in range(traj.length - 1):
-        dt = times[k + 1] - times[k]
-        V = log_map(traj.matrices[k], traj.matrices[k + 1])
-        out.append(Tangent(base=V.base, coords=V.coords / dt))
-    dt = times[-1] - times[-2]
-    V = log_map(traj.matrices[-1], traj.matrices[-2])
-    out.append(Tangent(base=V.base, coords=-V.coords / dt))
-    return out
-
-
-def _chain_rotations(mats: np.ndarray) -> np.ndarray:
-    """R[k] conjugates identity-chart coords from sample k back to sample 0."""
-    T, n, _ = mats.shape
-    R = np.empty((T, n, n))
-    R[0] = np.eye(n)
-    for k in range(1, T):
-        R[k] = R[k - 1] @ transport_rotation(mats[k], mats[k - 1])
-    return R
-
-
-def _velocity_coords(mats: np.ndarray, times: np.ndarray) -> np.ndarray:
-    T = mats.shape[0]
-    V = np.empty_like(mats)
-    for k in range(T - 1):
-        dt = times[k + 1] - times[k]
-        V[k] = log_map(mats[k], mats[k + 1]).coords / dt
-    dt = times[-1] - times[-2]
-    V[T - 1] = -log_map(mats[-1], mats[-2]).coords / dt
-    return V
-
-
-def tsrvf(traj: CovarianceTrajectory) -> TSRVFSequence:
-    """Transported square-root vector field of a unit-determinant trajectory.
-
-    ``q(t_k) = transport(velocity_k -> alpha(0)) / sqrt(||velocity_k||)``;
-    zero-velocity samples map to zero vectors.
-    """
-    if traj.length < 2:
-        raise ValueError("TSRVF needs at least 2 samples")
-    for P in traj.matrices:
-        require_unit_det(P)
-    V = _velocity_coords(traj.matrices, traj.times)
-    R = _chain_rotations(traj.matrices)
-    q = np.matmul(np.matmul(R, V), R.transpose(0, 2, 1))
-    speeds = np.linalg.norm(V, axis=(1, 2))
-    scale = np.where(speeds > _ZERO_SPEED, 1.0 / np.sqrt(np.maximum(speeds, _ZERO_SPEED)), 0.0)
-    q *= scale[:, None, None]
-    return TSRVFSequence(base=traj.matrices[0].copy(), vectors=q, times=traj.times.copy())
+    return CovarianceTrajectory(matrices=_evaluate(traj, s_new))
 
 
 @dataclass(frozen=True)
@@ -251,23 +174,48 @@ class _Features:
     w_det: float
 
 
+def _chain_rotations(O: np.ndarray) -> np.ndarray:
+    """Overwrite O with R: R[k] carries identity-chart coords from sample k to 0.
+
+    ``O[k]`` is the transport rotation from sample k to k+1, so transport
+    from k+1 back to k is its transpose: ``R[k+1] = R[k] O[k]^T``.
+    """
+    R_k = np.eye(O.shape[-1])
+    for k in range(O.shape[0]):
+        O[k], R_k = R_k, R_k @ O[k].T
+    return O
+
+
 def _trajectory_features(
     traj: CovarianceTrajectory, include_logdet: bool, w_det: float | None
 ) -> _Features:
+    """TSRVF of the determinant-normalized trajectory, one row per sample.
+
+    Row k is the velocity at sample k (the forward geodesic difference, and
+    the backward one at the last sample), carried back to the start point and
+    scaled by the inverse square root of its speed; zero-speed rows are zero.
+    """
+    if traj.length < 2:
+        raise ValueError("TSRVF needs at least 2 samples")
     unit, track = normalize_trajectory(traj)
     n = unit.dim
     if w_det is None:
         w_det = 1.0 / n
     T = unit.length
-    V = _velocity_coords(unit.matrices, unit.times)
-    R = _chain_rotations(unit.matrices)
-    qm = np.matmul(np.matmul(R, V), R.transpose(0, 2, 1))
+    V, O = log_map_and_rotation(unit.matrices[:-1], unit.matrices[1:])
+    V /= np.diff(unit.times)[:, None, None]
+    speeds = np.linalg.norm(V, axis=(1, 2))
+    speeds = np.append(speeds, speeds[-1])
+    R = _chain_rotations(O)
+    RV = R @ V
+    del V  # stacks can be large: hold at most three at a time
+    qm = np.empty((T, n, n))
+    np.matmul(RV, R.transpose(0, 2, 1), out=qm[:-1])
+    del R, O, RV
+    qm[-1] = qm[-2]
     if include_logdet:
         sdot = np.gradient(track, unit.times)
-        speeds = np.sqrt(np.linalg.norm(V, axis=(1, 2)) ** 2 + w_det * sdot**2)
-    else:
-        sdot = None
-        speeds = np.linalg.norm(V, axis=(1, 2))
+        speeds = np.sqrt(speeds**2 + w_det * sdot**2)
     scale = np.where(speeds > _ZERO_SPEED, 1.0 / np.sqrt(np.maximum(speeds, _ZERO_SPEED)), 0.0)
     qm *= scale[:, None, None]
     flat = qm.reshape(T, n * n)
@@ -275,7 +223,7 @@ def _trajectory_features(
         qs = (np.sqrt(w_det) * sdot * scale)[:, None]
         flat = np.concatenate([flat, qs], axis=1)
     return _Features(
-        start=unit.matrices[0],
+        start=unit.matrices[0].copy(),  # a view would keep the whole stack alive
         start_logdet=float(track[0]),
         q=flat,
         n=n,
@@ -603,7 +551,12 @@ def _project_slopes(y: np.ndarray, dt: float) -> np.ndarray:
 
 def _dq_from_features(
     f1: _Features, f2: _Features, refine: bool = True
-) -> tuple[float, WarpingFunction]:
+) -> tuple[float, WarpingFunction, float]:
+    """Aligned distance, its warp, and the unaligned distance of the same pass.
+
+    The unaligned ``d_c`` is the identity warp's cost, computed exactly as
+    `_dc_from_features` computes it.
+    """
     q1p = _transport_features(f1, f2)
     gr = _pair_grams(q1p, f2.q)
     gr_rev = gr.reverse()
@@ -638,16 +591,18 @@ def _dq_from_features(
     best = candidates[0]
     diff = ((q1p - f2.q) ** 2).sum(axis=1)
     best_cost = float(np.trapezoid(diff, dx=dt))
+    gap_sq = _start_gap_sq(f1, f2)
+    dc = float(np.sqrt(gap_sq + best_cost))
     for gx, gy in candidates[1:]:
         c = _warp_cost(gr, np.interp(ts, gx, gy))
         # earlier (more canonical) candidates win ties within roundoff
         if c < best_cost - 1e-12 * (1.0 + abs(best_cost)):
             best_cost = c
             best = (gx, gy)
-    dq = float(np.sqrt(max(_start_gap_sq(f1, f2) + best_cost, 0.0)))
+    dq = float(np.sqrt(max(gap_sq + best_cost, 0.0)))
     gx, gy = best
     warp = _knots_to_warp(np.asarray(gx, dtype=float), np.asarray(gy, dtype=float))
-    return dq, warp
+    return dq, warp, dc
 
 
 def _knots_to_warp(gx: np.ndarray, gy: np.ndarray) -> WarpingFunction:
@@ -687,17 +642,16 @@ def align_dq(
     a1, a2 = _common_grid(pair, grid)
     f1 = _trajectory_features(a1, include_logdet, w_det)
     f2 = _trajectory_features(a2, include_logdet, w_det)
-    return _dq_from_features(f1, f2, refine=refine)
+    dq, warp, _ = _dq_from_features(f1, f2, refine=refine)
+    return dq, warp
 
 
 def apply_warp(traj: CovarianceTrajectory, warp: WarpingFunction) -> CovarianceTrajectory:
     """Reparameterize a trajectory: output sample k is the input at gamma(t_k)."""
     ts = traj.times
     span = ts[-1] - ts[0]
-    mats = np.array(
-        [evaluate_trajectory(traj, ts[0] + span * float(warp(u))) for u in (ts - ts[0]) / span]
-    )
-    return CovarianceTrajectory(matrices=mats, times=ts.copy())
+    s = ts[0] + span * warp((ts - ts[0]) / span)
+    return CovarianceTrajectory(matrices=_evaluate(traj, s), times=ts.copy())
 
 
 def random_warp(T: int, roughness: float, seed: int) -> WarpingFunction:

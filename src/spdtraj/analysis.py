@@ -16,7 +16,11 @@ from .alignment import (
     resample_trajectory,
 )
 from .estimation import CovarianceTrajectory
-from .geometry import DimensionMismatchError, log_euclidean_dist
+from .geometry import (
+    DimensionMismatchError,
+    log_euclidean_dist,  # unused here; perfbench/tracer.py wraps it
+    sym_log,
+)
 from .reduction import ReductionModel, StiefelBasis, reduce_trajectory
 
 log = logging.getLogger(__name__)
@@ -30,6 +34,7 @@ class DistanceMatrix:
     values: np.ndarray
     metric: str
     asymmetry: float = 0.0  # max |d(i,j) - d(j,i)| before symmetrization (dq only)
+    unaligned: "DistanceMatrix | None" = None  # d_c from the same pass (dq only)
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
@@ -101,7 +106,8 @@ def distance_matrix(
     """All-pairs distances over a trajectory collection.
 
     ``dq`` matrices are symmetrized as the max of the two alignment
-    directions, with the largest gap recorded on the result.  Parallel and
+    directions, with the largest gap recorded on the result; they carry the
+    ``d_c`` matrix of the same pass as ``unaligned``.  Parallel and
     sequential runs fill disjoint cells of the same array, so the output is
     identical for any thread count.
     """
@@ -121,25 +127,21 @@ def distance_matrix(
         )
 
     vals = np.zeros((N, N))
+    dc_vals = np.zeros((N, N))
     pairs_idx = [(i, j) for i in range(N) for j in range(i + 1, N)]
     asym = 0.0
 
     if metric == "logeuclidean":
         common = max(tr.length for tr in trajectories)
-        rs = [resample_trajectory(tr, common) for tr in trajectories]
+        logs = [sym_log(resample_trajectory(tr, common).matrices) for tr in trajectories]
 
         def le_pair(ij):
             i, j = ij
-            a, b = rs[i], rs[j]
-            d2 = np.array(
-                [
-                    log_euclidean_dist(a.matrices[k], b.matrices[k]) ** 2
-                    for k in range(common)
-                ]
-            )
+            diff = (logs[i] - logs[j]).reshape(common, -1)
+            d2 = np.linalg.vecdot(diff, diff)
             if common == 1:
-                return i, j, float(np.sqrt(d2[0])), 0.0
-            return i, j, float(np.sqrt(np.trapezoid(d2, dx=1.0 / (common - 1)))), 0.0
+                return i, j, float(np.sqrt(d2[0])), 0.0, np.nan
+            return i, j, float(np.sqrt(np.trapezoid(d2, dx=1.0 / (common - 1)))), 0.0, np.nan
 
         work = le_pair
     else:
@@ -153,7 +155,8 @@ def distance_matrix(
 
             def dc_pair(ij):
                 i, j = ij
-                return i, j, _dc_from_features(feats[i], feats[j]), 0.0
+                d = _dc_from_features(feats[i], feats[j])
+                return i, j, d, 0.0, d
 
             work = dc_pair
         else:
@@ -162,10 +165,10 @@ def distance_matrix(
                 i, j = ij
                 if feats[i].q.shape[0] == 1:
                     d = _dc_from_features(feats[i], feats[j])
-                    return i, j, d, 0.0
-                d_ij, _ = _dq_from_features(feats[i], feats[j], refine=refine)
-                d_ji, _ = _dq_from_features(feats[j], feats[i], refine=refine)
-                return i, j, max(d_ij, d_ji), abs(d_ij - d_ji)
+                    return i, j, d, 0.0, d
+                d_ij, _, dc = _dq_from_features(feats[i], feats[j], refine=refine)
+                d_ji, _, _ = _dq_from_features(feats[j], feats[i], refine=refine)
+                return i, j, max(d_ij, d_ji), abs(d_ij - d_ji), dc
 
             work = dq_pair
 
@@ -174,12 +177,14 @@ def distance_matrix(
             results = list(ex.map(work, pairs_idx))
     else:
         results = [work(ij) for ij in pairs_idx]
-    for i, j, d, gap in results:
+    for i, j, d, gap, dc in results:
         vals[i, j] = vals[j, i] = d
+        dc_vals[i, j] = dc_vals[j, i] = dc
         asym = max(asym, gap)
-    if metric == "dq" and asym > 0:
+    if asym > 0:
         log.debug("dq symmetrization: max |forward - backward| = %.3e", asym)
-    return DistanceMatrix(ids=ids, values=vals, metric=metric, asymmetry=asym)
+    unaligned = DistanceMatrix(ids, dc_vals, "dc") if metric == "dq" else None
+    return DistanceMatrix(ids, vals, metric, asymmetry=asym, unaligned=unaligned)
 
 
 def _class_order(labels: np.ndarray) -> list:

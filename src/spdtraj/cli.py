@@ -292,17 +292,7 @@ def _cmd_distance(args) -> int:
 
     if args.metric == "dq":
         man.start("histogram")
-        Dc = distance_matrix(
-            trajs,
-            ids,
-            metric="dc",
-            grid=args.grid,
-            include_logdet=args.include_logdet,
-            w_det=args.w_det,
-            threads=args.threads,
-            reduction=reduction,
-        )
-        dc_vals, pair_ids = offdiag_pairs(Dc)
+        dc_vals, pair_ids = offdiag_pairs(D.unaligned)
         dq_vals, _ = offdiag_pairs(D)
         hist, skipped = alignment_reduction_histogram(dc_vals, dq_vals)
         man.stop("histogram")

@@ -90,10 +90,10 @@ class CovarianceTrajectory:
             raise ValueError("times length must match trajectory length")
         if T > 1 and not np.all(np.diff(times) > 0):
             raise ValueError("times must be strictly increasing")
-        for k in range(T):
-            mats[k] = symmetrize(mats[k])
-            if np.linalg.eigvalsh(mats[k])[0] < EPS_PD:
-                raise ValueError(f"trajectory matrix {k} is not positive definite")
+        mats[...] = symmetrize(mats)
+        bad = np.flatnonzero(np.linalg.eigvalsh(mats)[:, 0] < EPS_PD)
+        if bad.size:
+            raise ValueError(f"trajectory matrix {bad[0]} is not positive definite")
         object.__setattr__(self, "matrices", mats)
         object.__setattr__(self, "times", times)
 
@@ -198,45 +198,37 @@ def smooth_resample(
     if T_out < 1:
         raise ValueError("T_out must be positive")
     T = traj.length
-    logs = np.array([sym_log(P) for P in traj.matrices])
     if T == 1:
         out = np.repeat(traj.matrices, T_out, axis=0)
         return CovarianceTrajectory(matrices=out)
+    logs = sym_log(traj.matrices)
     dt_in = float(traj.times[-1] - traj.times[0]) / (T - 1)
     sigma = kernel_width * dt_in
     t_out = np.linspace(traj.times[0], traj.times[-1], T_out) if T_out > 1 else np.array([traj.times[0]])
-    out = np.empty((T_out, traj.dim, traj.dim))
-    for i, s in enumerate(t_out):
-        z = (s - traj.times) / sigma
-        w = np.exp(-0.5 * np.minimum(z * z, 1400.0))
-        total = w.sum()
-        if total <= 0:  # extremely narrow kernel: nearest sample
-            w = np.zeros(T)
-            w[np.argmin(np.abs(traj.times - s))] = 1.0
-            total = 1.0
-        L = np.tensordot(w / total, logs, axes=(0, 0))
-        out[i] = sym_exp(L)
-    return CovarianceTrajectory(matrices=out)
+    gap = t_out[:, None] - traj.times[None, :]
+    z = gap / sigma
+    w = np.exp(-0.5 * np.minimum(z * z, 1400.0))
+    total = w.sum(axis=1, keepdims=True)
+    # extremely narrow kernel: nearest sample
+    empty = total[:, 0] <= 0
+    w[empty] = 0.0
+    w[empty, np.argmin(np.abs(gap[empty]), axis=1)] = 1.0
+    total[empty] = 1.0
+    # one (1, T) @ (T, n*n) product per output row, summed as a lone row would be
+    L = ((w / total)[:, None, :] @ logs.reshape(T, -1)).reshape(T_out, traj.dim, traj.dim)
+    return CovarianceTrajectory(matrices=sym_exp(L))
 
 
 def logdet_curve(traj: CovarianceTrajectory) -> np.ndarray:
     """Per-time-point values of ``log det(P(t)) / n``."""
-    n = traj.dim
-    vals = np.empty(traj.length)
-    for k, P in enumerate(traj.matrices):
-        w = np.linalg.eigvalsh(P)
-        vals[k] = np.sum(np.log(w)) / n
-    return vals
+    return np.sum(np.log(np.linalg.eigvalsh(traj.matrices)), axis=1) / traj.dim
 
 
 def normalize_trajectory(
     traj: CovarianceTrajectory,
 ) -> tuple[CovarianceTrajectory, np.ndarray]:
     """Pointwise determinant normalization; returns the log-det track too."""
-    mats = np.empty_like(traj.matrices)
-    track = np.empty(traj.length)
-    for k, P in enumerate(traj.matrices):
-        mats[k], track[k] = normalize_det(P)
+    mats, track = normalize_det(traj.matrices)
     return CovarianceTrajectory(matrices=mats, times=traj.times.copy()), track
 
 

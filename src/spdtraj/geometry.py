@@ -16,6 +16,14 @@ trace-free matrix for unit-determinant bases).  In this chart the metric is
 the Frobenius inner product, ``exp_map(P, V) = sqrt(P expm(2V) P)``, and
 parallel transport from ``P1`` to ``P2`` is conjugation by the orthogonal
 matrix ``O = P2^-1 P1 sqrt(P1^-1 P2^2 P1^-1)``.
+
+All of these come from one matrix per pair, ``M = P1^-1 P2^2 P1^-1``
+(`pair_matrix`), and its eigendecomposition: the distance from its
+eigenvalues, the log map ``log(M)/2``, the geodesic ``sqrt(P1 M^t P1)`` and
+the transport rotation as the polar factor of ``P2^-1 P1 M^(1/2)``.  The
+pair kernels and the matrix functions take stacks ``(..., n, n)`` (the
+Geomstats convention; Miolane et al., JMLR 21, 2020), so a trajectory's
+consecutive pairs are decomposed in one call, once each.
 """
 from __future__ import annotations
 
@@ -45,14 +53,19 @@ class BasePointMismatchError(ValueError):
     """Tangent vectors anchored at different base points were combined."""
 
 
+def _mT(M: np.ndarray) -> np.ndarray:
+    return np.swapaxes(M, -1, -2)
+
+
 def symmetrize(M: np.ndarray) -> np.ndarray:
-    """Return (M + M^T)/2; the result is exactly symmetric in floating point."""
-    return 0.5 * (M + M.T)
+    """Return (M + M^T)/2 over the last two axes; exactly symmetric in floating point."""
+    return 0.5 * (M + _mT(M))
 
 
 def check_square(M: np.ndarray, name: str = "matrix") -> np.ndarray:
+    """``M`` as a float array of square matrices ``(..., n, n)``."""
     M = np.asarray(M, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+    if M.ndim < 2 or M.shape[-1] != M.shape[-2]:
         raise DimensionMismatchError(f"{name} must be square, got shape {M.shape}")
     return M
 
@@ -62,41 +75,52 @@ def check_same_dim(A: np.ndarray, B: np.ndarray) -> None:
         raise DimensionMismatchError(f"dimension mismatch: {A.shape} vs {B.shape}")
 
 
-def _eigh_pd(P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of an SPD matrix, rejecting eigenvalues below EPS_PD."""
-    P = check_square(P)
-    w, U = np.linalg.eigh(symmetrize(P))
-    if w[0] < EPS_PD:
+def _require_pd(w: np.ndarray) -> None:
+    """Reject ascending eigenvalue rows ``(..., n)`` whose smallest is below EPS_PD."""
+    wmin = w[..., 0].min(initial=np.inf)
+    if wmin < EPS_PD:
         raise NotPositiveDefiniteError(
-            f"matrix is not positive definite: smallest eigenvalue {w[0]:.6e} "
+            f"matrix is not positive definite: smallest eigenvalue {wmin:.6e} "
             f"< {EPS_PD:.0e}"
         )
+
+
+def _eigh_pd(P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition of SPD matrices, rejecting eigenvalues below EPS_PD."""
+    P = check_square(P)
+    w, U = np.linalg.eigh(symmetrize(P))
+    _require_pd(w)
     return w, U
 
 
+def _spectral(U: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """``U diag(f) U^T`` for stacked eigenvectors and values, exactly symmetric."""
+    return symmetrize((U * f[..., None, :]) @ _mT(U))
+
+
 def sym_sqrt(P: np.ndarray) -> np.ndarray:
-    """Symmetric positive-definite square root of an SPD matrix."""
+    """Symmetric positive-definite square root of SPD matrices."""
     w, U = _eigh_pd(P)
-    return symmetrize((U * np.sqrt(w)) @ U.T)
+    return _spectral(U, np.sqrt(w))
 
 
 def sym_log(P: np.ndarray) -> np.ndarray:
-    """Matrix logarithm of an SPD matrix (a symmetric matrix)."""
+    """Matrix logarithm of SPD matrices (symmetric matrices)."""
     w, U = _eigh_pd(P)
-    return symmetrize((U * np.log(w)) @ U.T)
+    return _spectral(U, np.log(w))
 
 
 def sym_exp(A: np.ndarray) -> np.ndarray:
-    """Matrix exponential of a symmetric matrix (an SPD matrix)."""
+    """Matrix exponential of symmetric matrices (SPD matrices)."""
     A = check_square(A)
     w, U = np.linalg.eigh(symmetrize(A))
-    return symmetrize((U * np.exp(w)) @ U.T)
+    return _spectral(U, np.exp(w))
 
 
 def sym_pow(P: np.ndarray, alpha: float) -> np.ndarray:
-    """Matrix power P^alpha of an SPD matrix."""
+    """Matrix power P^alpha of SPD matrices."""
     w, U = _eigh_pd(P)
-    return symmetrize((U * w**alpha) @ U.T)
+    return _spectral(U, w**alpha)
 
 
 def log_det(P: np.ndarray) -> float:
@@ -105,32 +129,23 @@ def log_det(P: np.ndarray) -> float:
     return float(np.sum(np.log(w)))
 
 
-def is_spd(P: np.ndarray) -> bool:
-    P = np.asarray(P, dtype=float)
-    if P.ndim != 2 or P.shape[0] != P.shape[1]:
-        return False
-    if not np.allclose(P, P.T, atol=1e-10):
-        return False
-    return bool(np.linalg.eigvalsh(symmetrize(P))[0] >= EPS_PD)
-
-
 def require_unit_det(P: np.ndarray, tol: float = UNIT_DET_TOL) -> None:
     ld = log_det(P)
     if abs(ld) > tol:
         raise ValueError(f"matrix is not unit-determinant: |log det| = {abs(ld):.3e}")
 
 
-def normalize_det(P: np.ndarray) -> tuple[np.ndarray, float]:
-    """Split an SPD matrix into its unit-determinant part and log-det channel.
+def normalize_det(P: np.ndarray) -> tuple[np.ndarray, float | np.ndarray]:
+    """Split SPD matrices into their unit-determinant parts and log-det channels.
 
-    Returns ``(P / det(P)^(1/n), log det(P) / n)``.  The determinant is taken
-    through log-eigenvalues, never a direct product.
+    Returns ``(P / det(P)^(1/n), log det(P) / n)``: a float channel for one
+    matrix, an array of them for a stack.  The determinant is taken through
+    log-eigenvalues, never a direct product.
     """
     w, U = _eigh_pd(P)
-    n = P.shape[0]
-    channel = float(np.mean(np.log(w)))
-    unit = symmetrize((U * (w * np.exp(-channel))) @ U.T)
-    return unit, channel
+    channel = np.mean(np.log(w), axis=-1)
+    unit = _spectral(U, w * np.exp(-channel)[..., None])
+    return unit, float(channel) if channel.ndim == 0 else channel
 
 
 @dataclass(frozen=True)
@@ -207,28 +222,66 @@ def exp_map(base: np.ndarray, V) -> np.ndarray:
     return sym_sqrt(symmetrize(base @ inner_exp @ base))
 
 
+def pair_matrix(P1: np.ndarray, P2: np.ndarray) -> np.ndarray:
+    """``M = P1^-1 P2^2 P1^-1`` of matrices or stacks ``(..., n, n)``, unchecked.
+
+    M is symmetric by construction and positive definite for nonsingular
+    ``P2``; every pair quantity of the quotient metric derives from it.
+    """
+    Y = np.linalg.solve(P1, P2)
+    M = Y @ _mT(Y)
+    del Y  # stacks can be large: hold at most two at a time
+    return symmetrize(M)
+
+
+def log_map_and_rotation(
+    P1: np.ndarray, P2: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Log-map coordinates and transport rotations of stacked pairs ``P1 -> P2``.
+
+    One decomposition of each pair matrix gives both; this is what a
+    trajectory's consecutive samples need.  The rotation ``O = P2^-1 P1
+    M^(1/2)`` is orthogonal in exact arithmetic; it is re-projected onto the
+    orthogonal group by polar factorization.  Inputs are not checked.
+    """
+    w, U = _eigh_pd(pair_matrix(P1, P2))
+    V = _spectral(U, 0.5 * np.log(w))
+    O = P1 @ _spectral(U, np.sqrt(w))
+    del U  # stacks can be large: hold at most four at a time
+    O = np.linalg.solve(P2, O)
+    u, _, vt = np.linalg.svd(O)
+    return V, np.matmul(u, vt, out=O)
+
+
+def geodesic_points(
+    P1: np.ndarray, P2: np.ndarray, pair: np.ndarray, t: np.ndarray
+) -> np.ndarray:
+    """Points ``sqrt(A M^t A)`` on the geodesics of stacked pairs, unchecked.
+
+    Point ``i`` lies at parameter ``t[i]`` on the geodesic from
+    ``P1[pair[i]]`` to ``P2[pair[i]]``; the unit-determinant part follows the
+    quotient geodesic while the log-det channel interpolates linearly.  Each
+    pair is decomposed once, however many points lie on it.
+    """
+    w, U = _eigh_pd(pair_matrix(P1, P2))
+    X = _spectral(U[pair], w[pair] ** t[:, None])
+    A = P1[pair]
+    X = A @ X
+    X = X @ A
+    del A  # stacks can be large: hold at most three at a time
+    w, U = _eigh_pd(X)
+    del X
+    return _spectral(U, np.sqrt(w))
+
+
 def log_map(P1: np.ndarray, P2: np.ndarray) -> Tangent:
     """Inverse exponential: tangent at ``P1`` pointing to ``P2``."""
     P1 = check_square(P1, "P1")
     P2 = check_square(P2, "P2")
     check_same_dim(P1, P2)
-    _eigh_pd(P2)
-    Y = np.linalg.solve(P1, P2)
-    M = symmetrize(Y @ Y.T)  # = P1^-1 P2^2 P1^-1, symmetric by construction
-    w, U = _eigh_pd(M)
-    coords = symmetrize((U * (0.5 * np.log(w))) @ U.T)
-    return Tangent(base=P1, coords=coords)
-
-
-def _pair_log_norm(P1: np.ndarray, P2: np.ndarray) -> float:
-    Y = np.linalg.solve(P1, P2)
-    w = np.linalg.eigvalsh(symmetrize(Y @ Y.T))
-    if w[0] < EPS_PD:
-        raise NotPositiveDefiniteError(
-            f"matrix is not positive definite: smallest eigenvalue {w[0]:.6e} "
-            f"< {EPS_PD:.0e}"
-        )
-    return float(0.5 * np.sqrt(np.sum(np.log(w) ** 2)))
+    _eigh_pd(P2)  # M is positive definite for any nonsingular P2
+    w, U = _eigh_pd(pair_matrix(P1, P2))
+    return Tangent(base=P1, coords=_spectral(U, 0.5 * np.log(w)))
 
 
 def dist_unitdet(P1: np.ndarray, P2: np.ndarray) -> float:
@@ -246,7 +299,9 @@ def dist_unitdet(P1: np.ndarray, P2: np.ndarray) -> float:
         return 0.0
     if P2.tobytes() < P1.tobytes():
         P1, P2 = P2, P1
-    return _pair_log_norm(P1, P2)
+    w = np.linalg.eigvalsh(pair_matrix(P1, P2))
+    _require_pd(w)
+    return float(0.5 * np.sqrt(np.sum(np.log(w) ** 2)))
 
 
 def dist_full(Pt1: np.ndarray, Pt2: np.ndarray, w_det: float | None = None) -> float:
@@ -282,13 +337,14 @@ def geodesic(P1: np.ndarray, P2: np.ndarray, t: float) -> np.ndarray:
     """Point at parameter ``t`` in [0, 1] on the geodesic from P1 to P2."""
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"geodesic parameter must lie in [0, 1], got {t}")
+    P1 = check_square(P1, "P1")
+    P2 = check_square(P2, "P2")
+    check_same_dim(P1, P2)
     if t == 0.0:
-        return np.array(check_square(P1), dtype=float)
+        return P1.copy()
     if t == 1.0:
-        return np.array(check_square(P2), dtype=float)
-    V = log_map(P1, P2)
-    inner_exp = sym_exp(2.0 * t * V.coords)
-    return sym_sqrt(symmetrize(V.base @ inner_exp @ V.base))
+        return P2.copy()
+    return geodesic_points(P1[None], P2[None], np.zeros(1, dtype=int), np.array([t]))[0]
 
 
 def transport_rotation(P1: np.ndarray, P2: np.ndarray) -> np.ndarray:
@@ -301,11 +357,7 @@ def transport_rotation(P1: np.ndarray, P2: np.ndarray) -> np.ndarray:
     P1 = check_square(P1, "P1")
     P2 = check_square(P2, "P2")
     check_same_dim(P1, P2)
-    Y = np.linalg.solve(P1, P2)
-    P12 = sym_sqrt(symmetrize(Y @ Y.T))
-    O = np.linalg.solve(P2, P1 @ P12)
-    U, _, Vt = np.linalg.svd(O)
-    return U @ Vt
+    return log_map_and_rotation(P1, P2)[1]
 
 
 def parallel_transport(V: Tangent, P1: np.ndarray, P2: np.ndarray) -> Tangent:

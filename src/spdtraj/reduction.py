@@ -20,12 +20,12 @@ from .estimation import CovarianceTrajectory
 from .geometry import (
     DimensionMismatchError,
     _eigh_pd,
-    dist_unitdet,
     normalize_det,
     require_unit_det,
     sym_log,
     symmetrize,
 )
+from .geometry import pair_matrix as _pair_matrix  # reduction.pair_matrix adds the checks
 
 # Orthonormality tolerance for basis matrices.
 _ORTHO_TOL = 1e-10
@@ -89,8 +89,7 @@ def pair_matrix(P_i: np.ndarray, P_j: np.ndarray) -> np.ndarray:
         raise DimensionMismatchError(f"shape mismatch {P_i.shape} vs {P_j.shape}")
     _eigh_pd(P_i)
     _eigh_pd(P_j)
-    Y = np.linalg.solve(P_i, P_j)
-    return symmetrize(Y @ Y.T)
+    return _pair_matrix(P_i, P_j)
 
 
 def build_pairs(
@@ -300,13 +299,6 @@ def lemma1_residual(
     return float(np.linalg.norm(lhs)), float(np.linalg.norm(rhs))
 
 
-def reduce_matrix(P: np.ndarray, model: ReductionModel | StiefelBasis) -> np.ndarray:
-    basis = model.basis if isinstance(model, ReductionModel) else model
-    unit, _ = normalize_det(np.asarray(P, dtype=float))
-    Q, _ = project(unit, basis)
-    return Q
-
-
 def reduce_trajectory(
     traj: CovarianceTrajectory, model: ReductionModel | StiefelBasis
 ) -> CovarianceTrajectory:
@@ -320,12 +312,7 @@ def reduce_trajectory(
         raise DimensionMismatchError(
             f"trajectory dim {traj.dim} != basis n {basis.n}"
         )
-    mats = np.empty((traj.length, basis.d, basis.d))
-    for k in range(traj.length):
-        mats[k] = reduce_matrix(traj.matrices[k], basis)
+    unit, _ = normalize_det(traj.matrices)
+    B = basis.matrix
+    mats, _ = normalize_det(symmetrize(B.T @ unit @ B))
     return CovarianceTrajectory(matrices=mats, times=traj.times.copy())
-
-
-def reduced_distance(P1: np.ndarray, P2: np.ndarray, basis: StiefelBasis) -> float:
-    """Geodesic distance between the reduced images of two matrices."""
-    return dist_unitdet(reduce_matrix(P1, basis), reduce_matrix(P2, basis))

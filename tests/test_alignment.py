@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hs
 
 from conftest import (
+    random_spd,
     random_unitdet,
     sample_curve,
     smooth_unitdet_curve,
@@ -21,15 +22,20 @@ from spdtraj.alignment import (
     evaluate_trajectory,
     random_warp,
     resample_trajectory,
-    tsrvf,
-    velocity_field,
 )
-from spdtraj.estimation import CovarianceTrajectory
+from spdtraj.estimation import CovarianceTrajectory, normalize_trajectory
 from spdtraj.geometry import (
     DimensionMismatchError,
     dist_unitdet,
     geodesic,
+    geodesic_points,
     log_det,
+    log_map,
+    log_map_and_rotation,
+    normalize_det,
+    pair_matrix,
+    sym_log,
+    transport_rotation,
 )
 
 
@@ -43,21 +49,32 @@ def _constant_trajectory(P, T):
 
 
 # ---------------------------------------------------------------------------
-# velocity field
+# velocity field: the log-map half of the consecutive-pair kernel
+
+
+def _velocities(traj):
+    """Forward-difference velocities of the feature path, one per interval."""
+    V, _ = log_map_and_rotation(traj.matrices[:-1], traj.matrices[1:])
+    return V / np.diff(traj.times)[:, None, None]
+
+
+def _tsrvf(traj):
+    """TSRVF rows of the feature path as (T, n, n) matrices."""
+    n = traj.dim
+    return A._trajectory_features(traj, False, None).q.reshape(traj.length, n, n)
 
 
 def test_velocity_field_constant_trajectory(rng):
     P = random_unitdet(rng, 3)
-    vels = velocity_field(_constant_trajectory(P, 6))
-    assert all(v.norm() < 1e-10 for v in vels)
+    V = _velocities(_constant_trajectory(P, 6))
+    assert np.linalg.norm(V, axis=(1, 2)).max() < 1e-10
 
 
 def test_velocity_field_geodesic_constant_speed(rng):
     P1, P2 = random_unitdet(rng, 4), random_unitdet(rng, 4)
     T = 50
     traj = _geodesic_trajectory(P1, P2, T)
-    vels = velocity_field(traj)
-    norms = np.array([v.norm() for v in vels])
+    norms = np.linalg.norm(_velocities(traj), axis=(1, 2))
     speed = dist_unitdet(P1, P2)
     assert np.abs(norms - speed).max() / speed < 0.02
 
@@ -91,53 +108,132 @@ def test_velocity_field_refinement_halves_step_norms(rng):
 
 
 def test_velocity_field_rejects_short_trajectory(rng):
-    with pytest.raises(ValueError):
-        velocity_field(_constant_trajectory(random_unitdet(rng, 3), 1))
+    with pytest.raises(ValueError, match="at least 2 samples"):
+        A._trajectory_features(_constant_trajectory(random_unitdet(rng, 3), 1), False, None)
 
 
 def test_velocity_field_anchored_at_samples(rng):
+    # velocity k is the forward geodesic difference taken at sample k
     f = smooth_unitdet_curve(rng, 3)
     traj = sample_curve(f, 10)
-    vels = velocity_field(traj)
-    for k, v in enumerate(vels):
-        np.testing.assert_array_equal(v.base, traj.matrices[k])
+    V = _velocities(traj)
+    dt = traj.times[1] - traj.times[0]
+    for k in range(traj.length - 1):
+        want = log_map(traj.matrices[k], traj.matrices[k + 1]).coords / dt
+        np.testing.assert_allclose(V[k], want, rtol=0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
-# TSRVF
+# TSRVF: the rows of the feature path
 
 
 def test_tsrvf_constant_trajectory_is_zero(rng):
     P = random_unitdet(rng, 3)
-    q = tsrvf(_constant_trajectory(P, 8))
-    assert np.abs(q.vectors).max() < 1e-10
+    assert np.abs(_tsrvf(_constant_trajectory(P, 8))).max() < 1e-10
 
 
 def test_tsrvf_constant_speed_geodesic_norm(rng):
     P1, P2 = random_unitdet(rng, 4), random_unitdet(rng, 4)
     traj = _geodesic_trajectory(P1, P2, 50)
-    q = tsrvf(traj)
     speed = dist_unitdet(P1, P2)
-    norms = np.linalg.norm(q.vectors, axis=(1, 2))
+    norms = np.linalg.norm(_tsrvf(traj), axis=(1, 2))
     assert np.abs(norms - np.sqrt(speed)).max() / np.sqrt(speed) < 0.02
 
 
 def test_tsrvf_norm_law(rng):
-    # ||q||^2 == ||velocity|| at every sample (transport is an isometry)
+    # ||q||^2 == ||velocity|| at every sample (transport is an isometry); the
+    # last sample's velocity is the backward difference
     f = smooth_unitdet_curve(rng, 4)
     traj = sample_curve(f, 30)
-    q = tsrvf(traj)
-    vels = velocity_field(traj)
+    q = _tsrvf(traj)
+    dt = traj.times[1] - traj.times[0]
+    P = traj.matrices
+    vels = [log_map(P[k], P[k + 1]).norm() / dt for k in range(traj.length - 1)]
+    vels.append(log_map(P[-1], P[-2]).norm() / dt)
     for k in range(traj.length):
-        qn = np.linalg.norm(q.vectors[k])
-        assert qn * qn == pytest.approx(vels[k].norm(), abs=1e-8)
+        qn = np.linalg.norm(q[k])
+        assert qn * qn == pytest.approx(vels[k], abs=1e-8)
 
 
 def test_tsrvf_anchored_at_start(rng):
+    # the features start at alpha(0), and row 0 needs no transport
     f = smooth_unitdet_curve(rng, 3)
     traj = sample_curve(f, 12)
-    q = tsrvf(traj)
-    np.testing.assert_array_equal(q.base, traj.matrices[0])
+    feats = A._trajectory_features(traj, False, None)
+    np.testing.assert_allclose(feats.start, traj.matrices[0], rtol=0, atol=1e-12)
+    v0 = log_map(traj.matrices[0], traj.matrices[1]).coords / (traj.times[1] - traj.times[0])
+    q0 = feats.q[0].reshape(3, 3)
+    np.testing.assert_allclose(q0, v0 / np.sqrt(np.linalg.norm(v0)), rtol=0, atol=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# stacked kernels against the per-pair oracles
+
+
+def _oracle_tsrvf(traj):
+    """Per-pair TSRVF: log_map velocities carried back by chained transport_rotation."""
+    P, dt = traj.matrices, np.diff(traj.times)
+    T, n = traj.length, traj.dim
+    V = [log_map(P[k], P[k + 1]).coords / dt[k] for k in range(T - 1)]
+    V.append(-log_map(P[-1], P[-2]).coords / dt[-1])
+    R = np.eye(n)
+    q = np.empty((T, n, n))
+    for k in range(T):
+        if k:
+            R = R @ transport_rotation(P[k], P[k - 1])
+        q[k] = R @ V[k] @ R.T / np.sqrt(np.linalg.norm(V[k]))
+    return q
+
+
+def _oracle_evaluate(traj, s):
+    """Per-point geodesic interpolation of the stored samples."""
+    k = min(max(int(np.searchsorted(traj.times, s, side="right")) - 1, 0), traj.length - 2)
+    t0, t1 = traj.times[k], traj.times[k + 1]
+    return geodesic(traj.matrices[k], traj.matrices[k + 1], (s - t0) / (t1 - t0))
+
+
+def test_stacked_features_resampling_and_warp_match_pair_oracles(rng):
+    n, T = 4, 30
+    traj = sample_curve(smooth_unitdet_curve(rng, n), T)
+    unit, _ = normalize_trajectory(traj)
+    np.testing.assert_allclose(_tsrvf(traj), _oracle_tsrvf(unit), rtol=0, atol=1e-10)
+
+    fine = resample_trajectory(traj, 47)
+    want = np.array([_oracle_evaluate(traj, s) for s in np.linspace(0, 1, 47)])
+    np.testing.assert_allclose(fine.matrices, want, rtol=0, atol=1e-10)
+
+    warp = random_warp(T, 0.3, seed=4)
+    warped = apply_warp(traj, warp)
+    want = np.array([_oracle_evaluate(traj, float(warp(t))) for t in traj.times])
+    np.testing.assert_allclose(warped.matrices, want, rtol=0, atol=1e-10)
+
+
+def test_pair_kernel_on_stacks_matches_loop_over_pairs(rng):
+    # a stack runs the same arithmetic per pair, so results are equal
+    n, K = 4, 7
+    P1 = np.array([random_spd(rng, n) for _ in range(K)])
+    P2 = np.array([random_spd(rng, n) for _ in range(K)])
+    M = pair_matrix(P1, P2)
+    V, O = log_map_and_rotation(P1, P2)
+    pair = np.array([0, 3, 3, 6, 1])
+    t = np.array([0.2, 0.5, 0.9, 0.4, 0.7])
+    G = geodesic_points(P1, P2, pair, t)
+    unit, channel = normalize_det(P1)
+    logs = sym_log(P1)
+    for k in range(K):
+        np.testing.assert_array_equal(M[k], pair_matrix(P1[k], P2[k]))
+        np.testing.assert_array_equal(V[k], log_map(P1[k], P2[k]).coords)
+        np.testing.assert_array_equal(O[k], transport_rotation(P1[k], P2[k]))
+        u, c = normalize_det(P1[k])
+        np.testing.assert_array_equal(unit[k], u)
+        assert channel[k] == c
+        np.testing.assert_array_equal(logs[k], sym_log(P1[k]))
+    for i, (k, ti) in enumerate(zip(pair, t)):
+        np.testing.assert_array_equal(G[i], geodesic(P1[k], P2[k], ti))
+    # any leading shape: a (2, 3) grid of pairs decomposes like its flattening
+    V6, O6 = log_map_and_rotation(P1[:6].reshape(2, 3, n, n), P2[:6].reshape(2, 3, n, n))
+    np.testing.assert_array_equal(V6.reshape(6, n, n), V[:6])
+    np.testing.assert_array_equal(O6.reshape(6, n, n), O[:6])
 
 
 # ---------------------------------------------------------------------------

@@ -93,6 +93,23 @@ def test_distance_dq_not_exceeding_dc(tmp_path, twoclass_dir):
     assert len(report) == 1 + 4 * 3 // 2
 
 
+def test_distance_dq_report_dc_column_matches_dc_run(tmp_path, twoclass_dir):
+    # the dq pass computes d_c itself; its report must carry exactly the
+    # values a dc run writes
+    inputs = [str(p) for p in sorted(twoclass_dir.glob("traj*.spdt"))[:5]]
+    dc_out, dq_out = tmp_path / "dc.csv", tmp_path / "dq.csv"
+    assert run(["distance", *inputs, "--metric", "dc", "--grid", "30", "--out", str(dc_out)]) == 0
+    assert run(["distance", *inputs, "--metric", "dq", "--grid", "30", "--out", str(dq_out)]) == 0
+    lines = dc_out.read_text().splitlines()
+    ids = lines[0].split(",")
+    dc_cells = [row.split(",") for row in lines[1:]]
+    report = dq_out.with_suffix(".alignment_report.csv").read_text().splitlines()
+    assert len(report) == 1 + 5 * 4 // 2
+    for row in report[1:]:
+        id1, id2, d_c = row.split(",")[:3]
+        assert d_c == dc_cells[ids.index(id1)][ids.index(id2)]
+
+
 def test_distance_mixed_dims_exit_2(tmp_path, twoclass_dir):
     other = tmp_path / "other"
     assert (
