@@ -27,6 +27,12 @@ below 5e-8.  It is needed to reach near-zero residuals on self-warped pairs;
 the lattice path alone leaves a systematic positive residual from its
 quantized slopes.
 
+Aligning a to b and b to a is one problem seen from two sides, so an
+unordered pair gets one warp search: it puts the pair in a canonical order,
+builds one transport and one Gram table, and scores every candidate warp
+and its inverse in both directions.  Swapping the pair swaps the results
+bit for bit.
+
 Trajectories are determinant-normalized before comparison.  The scalar
 log-det track can optionally be carried along as an extra flat channel with
 weight ``w_det``.
@@ -262,7 +268,23 @@ def _common_grid(pair: TrajectoryPair, T: int | None = None) -> tuple[
     return resample_trajectory(pair.first, T), resample_trajectory(pair.second, T)
 
 
+def _swap_to_canonical(f1: _Features, f2: _Features) -> bool:
+    """True when ``(f2, f1)`` is the canonical order of the pair.
+
+    The order is that of ``(start.tobytes(), q.tobytes())``, as in
+    `geometry.dist_unitdet`.  The rows are compared one at a time, which
+    gives the same order without copying whole feature arrays.
+    """
+    for a, b in zip((f1.start, *f1.q), (f2.start, *f2.q)):
+        ka, kb = a.tobytes(), b.tobytes()
+        if ka != kb:
+            return kb < ka
+    return False
+
+
 def _dc_from_features(f1: _Features, f2: _Features) -> float:
+    if _swap_to_canonical(f1, f2):
+        f1, f2 = f2, f1
     T = f1.q.shape[0]
     if T == 1:
         return float(np.sqrt(_start_gap_sq(f1, f2)))
@@ -445,15 +467,6 @@ def _cost_evaluator(gr: _PairGrams):
     return fg
 
 
-def _warp_cost(gr: _PairGrams, g: np.ndarray) -> float:
-    """Canonical discrete warp cost of a strictly increasing warp on the grid.
-
-    Reproduces the unaligned integrand when ``g`` is the identity grid, which
-    guarantees ``d_q <= d_c``.
-    """
-    return _cost_evaluator(gr)(np.diff(g))[0]
-
-
 def _presmooth_warp(g: np.ndarray, width: float = 2.0) -> np.ndarray:
     T = g.shape[0]
     ts = np.linspace(0.0, 1.0, T)
@@ -551,58 +564,65 @@ def _project_slopes(y: np.ndarray, dt: float) -> np.ndarray:
 
 def _dq_from_features(
     f1: _Features, f2: _Features, refine: bool = True
-) -> tuple[float, WarpingFunction, float]:
-    """Aligned distance, its warp, and the unaligned distance of the same pass.
+) -> tuple[float, float, WarpingFunction, WarpingFunction, float]:
+    """The warp search of an unordered pair: ``(d_12, d_21, warp_12, warp_21, d_c)``.
 
-    The unaligned ``d_c`` is the identity warp's cost, computed exactly as
-    `_dc_from_features` computes it.
+    ``d_12`` aligns f2 to f1 and ``warp_12`` reparameterizes f2; ``d_21`` and
+    ``warp_21`` are the mirrored problem.  The pair is searched in canonical
+    order, so swapping the arguments swaps the outputs bit for bit.  ``d_c``
+    is the identity warp's cost, computed exactly as `_dc_from_features`
+    computes it, so ``d_q <= d_c`` holds in both directions.
+
+    One transport and one Gram table serve both directions: the mirrored
+    problem uses the transposed table, which is exact because transport is
+    isometric.  Each direction runs its lattice path and refines the
+    presmoothed seeds from its own path and from the other direction's
+    inverted path; every candidate of one direction is scored, inverted, in
+    the other as well, so the two candidate sets are mirror images.
     """
+    swap = _swap_to_canonical(f1, f2)
+    if swap:
+        f1, f2 = f2, f1
     q1p = _transport_features(f1, f2)
     gr = _pair_grams(q1p, f2.q)
-    gr_rev = gr.reverse()
-    T = gr.N1.shape[0]
+    tables = (gr, gr.reverse())
+    T = q1p.shape[0]
     dt = 1.0 / (T - 1)
     ts = np.linspace(0.0, 1.0, T)
-
-    pi, pj = _dp_lattice(gr, dt)
-    g_fwd = (pi * dt, pj * dt)
-    candidates = [(ts.copy(), ts.copy())]  # identity first: wins cost ties
-    candidates.append(g_fwd)
-    # the mirrored problem (warping the first trajectory) seeds further
-    # candidates; keeping the candidate sets of both directions mirror images
-    # of each other is what makes d_q(a, b) and d_q(b, a) agree closely.
-    ri, rj = _dp_lattice(gr_rev, dt)
-    candidates.append((rj * dt, ri * dt))  # inverted reverse path
-    if refine:
-        seeds = [
-            _presmooth_warp(np.interp(ts, gx, gy)) for gx, gy in candidates[1:]
-        ]
-        if np.array_equal(seeds[0], seeds[1]):
-            seeds.pop()  # the two lattice paths agree: refine once
-        for g0 in seeds:
-            candidates.append((ts, _refine_warp(gr, g0)))
-        g_rev = _refine_warp(
-            gr_rev, _presmooth_warp(np.interp(ts, ri * dt, rj * dt))
-        )
-        candidates.append((g_rev, ts))  # inverted refined reverse warp
-
     # identity cost in direct (per-sample nonnegative) form: exactly the
-    # unaligned integrand, so d_q <= d_c holds with no cancellation floor
-    best = candidates[0]
-    diff = ((q1p - f2.q) ** 2).sum(axis=1)
-    best_cost = float(np.trapezoid(diff, dx=dt))
+    # unaligned integrand in both directions, so d_q <= d_c holds with no
+    # cancellation floor
+    identity_cost = float(np.trapezoid(((q1p - f2.q) ** 2).sum(axis=1), dx=dt))
     gap_sq = _start_gap_sq(f1, f2)
-    dc = float(np.sqrt(gap_sq + best_cost))
-    for gx, gy in candidates[1:]:
-        c = _warp_cost(gr, np.interp(ts, gx, gy))
-        # earlier (more canonical) candidates win ties within roundoff
-        if c < best_cost - 1e-12 * (1.0 + abs(best_cost)):
-            best_cost = c
-            best = (gx, gy)
-    dq = float(np.sqrt(max(gap_sq + best_cost, 0.0)))
-    gx, gy = best
-    warp = _knots_to_warp(np.asarray(gx, dtype=float), np.asarray(gy, dtype=float))
-    return dq, warp, dc
+    dc = float(np.sqrt(gap_sq + identity_cost))
+
+    paths = [tuple(k * dt for k in _dp_lattice(table, dt)) for table in tables]
+    refined: list[list[np.ndarray]] = [[], []]
+    if refine:
+        for d, table in enumerate(tables):
+            (px, py), (ox, oy) = paths[d], paths[1 - d]
+            seeds = [_presmooth_warp(np.interp(ts, px, py)),
+                     _presmooth_warp(np.interp(ts, oy, ox))]
+            if np.array_equal(seeds[0], seeds[1]):
+                seeds.pop()  # the two lattice paths agree: refine once
+            refined[d] = [_refine_warp(table, g0) for g0 in seeds]
+
+    out = []
+    for d, table in enumerate(tables):
+        fg = _cost_evaluator(table)
+        (px, py), (ox, oy) = paths[d], paths[1 - d]
+        candidates = [(px, py), (oy, ox)]
+        candidates += [(ts, g) for g in refined[d]]
+        candidates += [(g, ts) for g in refined[1 - d]]
+        best, best_cost = (ts, ts), identity_cost  # identity first: wins ties
+        for gx, gy in candidates:
+            c = fg(np.diff(np.interp(ts, gx, gy)))[0]
+            # earlier (more canonical) candidates win ties within roundoff
+            if c < best_cost - 1e-12 * (1.0 + abs(best_cost)):
+                best, best_cost = (gx, gy), c
+        out.append((float(np.sqrt(max(gap_sq + best_cost, 0.0))), _knots_to_warp(*best)))
+    (d12, w12), (d21, w21) = out[::-1] if swap else out
+    return d12, d21, w12, w21, dc
 
 
 def _knots_to_warp(gx: np.ndarray, gy: np.ndarray) -> WarpingFunction:
@@ -642,7 +662,7 @@ def align_dq(
     a1, a2 = _common_grid(pair, grid)
     f1 = _trajectory_features(a1, include_logdet, w_det)
     f2 = _trajectory_features(a2, include_logdet, w_det)
-    dq, warp, _ = _dq_from_features(f1, f2, refine=refine)
+    dq, _, warp, _, _ = _dq_from_features(f1, f2, refine=refine)
     return dq, warp
 
 

@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -99,17 +98,16 @@ def distance_matrix(
     grid: int = 100,
     include_logdet: bool = False,
     w_det: float | None = None,
-    threads: int = 1,
     reduction: ReductionModel | StiefelBasis | None = None,
     refine: bool = True,
 ) -> DistanceMatrix:
     """All-pairs distances over a trajectory collection.
 
-    ``dq`` matrices are symmetrized as the max of the two alignment
-    directions, with the largest gap recorded on the result; they carry the
-    ``d_c`` matrix of the same pass as ``unaligned``.  Parallel and
-    sequential runs fill disjoint cells of the same array, so the output is
-    identical for any thread count.
+    Pairs are computed one after another.  Each ``dq`` pair runs one warp
+    search, in the pair's canonical order, that scores both alignment
+    directions; the matrix takes the max of the two, records the largest gap
+    on the result, and carries the ``d_c`` matrix of the same pass as
+    ``unaligned``.
     """
     if metric not in METRICS:
         raise ValueError(f"unknown metric {metric!r}; expected one of {METRICS}")
@@ -128,22 +126,18 @@ def distance_matrix(
 
     vals = np.zeros((N, N))
     dc_vals = np.zeros((N, N))
-    pairs_idx = [(i, j) for i in range(N) for j in range(i + 1, N)]
     asym = 0.0
 
     if metric == "logeuclidean":
         common = max(tr.length for tr in trajectories)
         logs = [sym_log(resample_trajectory(tr, common).matrices) for tr in trajectories]
 
-        def le_pair(ij):
-            i, j = ij
+        def work(i, j):
             diff = (logs[i] - logs[j]).reshape(common, -1)
             d2 = np.linalg.vecdot(diff, diff)
             if common == 1:
-                return i, j, float(np.sqrt(d2[0])), 0.0, np.nan
-            return i, j, float(np.sqrt(np.trapezoid(d2, dx=1.0 / (common - 1)))), 0.0, np.nan
-
-        work = le_pair
+                return float(np.sqrt(d2[0])), 0.0, np.nan
+            return float(np.sqrt(np.trapezoid(d2, dx=1.0 / (common - 1)))), 0.0, np.nan
     else:
         lengths = {tr.length for tr in trajectories}
         if lengths == {1}:
@@ -151,36 +145,19 @@ def distance_matrix(
         else:
             feats = _features_for(trajectories, include_logdet, w_det, grid)
 
-        if metric == "dc":
-
-            def dc_pair(ij):
-                i, j = ij
+        def work(i, j):
+            if metric == "dc" or feats[i].q.shape[0] == 1:
                 d = _dc_from_features(feats[i], feats[j])
-                return i, j, d, 0.0, d
+                return d, 0.0, d
+            d_ij, d_ji, _, _, dc = _dq_from_features(feats[i], feats[j], refine=refine)
+            return max(d_ij, d_ji), abs(d_ij - d_ji), dc
 
-            work = dc_pair
-        else:
-
-            def dq_pair(ij):
-                i, j = ij
-                if feats[i].q.shape[0] == 1:
-                    d = _dc_from_features(feats[i], feats[j])
-                    return i, j, d, 0.0, d
-                d_ij, _, dc = _dq_from_features(feats[i], feats[j], refine=refine)
-                d_ji, _, _ = _dq_from_features(feats[j], feats[i], refine=refine)
-                return i, j, max(d_ij, d_ji), abs(d_ij - d_ji), dc
-
-            work = dq_pair
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            results = list(ex.map(work, pairs_idx))
-    else:
-        results = [work(ij) for ij in pairs_idx]
-    for i, j, d, gap, dc in results:
-        vals[i, j] = vals[j, i] = d
-        dc_vals[i, j] = dc_vals[j, i] = dc
-        asym = max(asym, gap)
+    for i in range(N):
+        for j in range(i + 1, N):
+            d, gap, dc = work(i, j)
+            vals[i, j] = vals[j, i] = d
+            dc_vals[i, j] = dc_vals[j, i] = dc
+            asym = max(asym, gap)
     if asym > 0:
         log.debug("dq symmetrization: max |forward - backward| = %.3e", asym)
     unaligned = DistanceMatrix(ids, dc_vals, "dc") if metric == "dq" else None

@@ -3,7 +3,8 @@
 Every command writes its artifacts plus a JSON run manifest listing the full
 configuration, input/output checksums and per-stage wall-clock timings.
 All randomness flows from explicit --seed flags; artifacts are byte-identical
-across reruns and thread counts.
+across reruns and ``--threads`` values (the option has no effect: pairs
+run one after another).
 
 Exit codes: 0 success, 1 runtime/numerical failure, 2 configuration error.
 """
@@ -37,14 +38,7 @@ class CliConfigError(Exception):
     pass
 
 
-def _default_threads() -> int:
-    env = os.environ.get("SPDTRAJ_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return 1
+_THREADS_HELP = "accepted for compatibility; has no effect (pairs run serially)"
 
 
 def _scratch_dir() -> Path:
@@ -281,7 +275,6 @@ def _cmd_distance(args) -> int:
         grid=args.grid,
         include_logdet=args.include_logdet,
         w_det=args.w_det,
-        threads=args.threads,
         reduction=reduction,
     )
     man.stop("distances")
@@ -340,7 +333,6 @@ def _cmd_classify(args) -> int:
             ids,
             metric=args.metric,
             grid=args.grid,
-            threads=args.threads,
             reduction=reduction,
         )
         man.stop("distances")
@@ -519,7 +511,7 @@ def build_parser() -> argparse.ArgumentParser:
     dist.add_argument("--w-det", type=float, default=None)
     dist.add_argument("--include-logdet", action="store_true")
     dist.add_argument("--grid", type=int, default=100)
-    dist.add_argument("--threads", type=int, default=_default_threads())
+    dist.add_argument("--threads", type=int, default=1, help=_THREADS_HELP)
     dist.add_argument("--seed", type=int, default=0)
     dist.add_argument("--out", required=True)
     dist.set_defaults(func=_cmd_distance)
@@ -534,7 +526,7 @@ def build_parser() -> argparse.ArgumentParser:
     clf.add_argument("--grid", type=int, default=100)
     clf.add_argument("--folds", type=int, default=5)
     clf.add_argument("--k", type=int, default=1)
-    clf.add_argument("--threads", type=int, default=_default_threads())
+    clf.add_argument("--threads", type=int, default=1, help=_THREADS_HELP)
     clf.add_argument("--seed", type=int, default=0)
     clf.add_argument("--out", required=True)
     clf.set_defaults(func=_cmd_classify)

@@ -90,7 +90,7 @@ class CovarianceTrajectory:
             raise ValueError("times length must match trajectory length")
         if T > 1 and not np.all(np.diff(times) > 0):
             raise ValueError("times must be strictly increasing")
-        mats[...] = symmetrize(mats)
+        mats = symmetrize(mats)  # a new array: the caller's stays untouched
         bad = np.flatnonzero(np.linalg.eigvalsh(mats)[:, 0] < EPS_PD)
         if bad.size:
             raise ValueError(f"trajectory matrix {bad[0]} is not positive definite")

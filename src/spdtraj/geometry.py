@@ -117,12 +117,6 @@ def sym_exp(A: np.ndarray) -> np.ndarray:
     return _spectral(U, np.exp(w))
 
 
-def sym_pow(P: np.ndarray, alpha: float) -> np.ndarray:
-    """Matrix power P^alpha of SPD matrices."""
-    w, U = _eigh_pd(P)
-    return _spectral(U, w**alpha)
-
-
 def log_det(P: np.ndarray) -> float:
     """log det(P) computed as the sum of log-eigenvalues (overflow safe)."""
     w, _ = _eigh_pd(P)

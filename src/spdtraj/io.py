@@ -65,14 +65,36 @@ def _pack_matrix(M: np.ndarray) -> bytes:
     return _MAGIC_MATRIX + struct.pack("<I", M.shape[0]) + M.tobytes()
 
 
-def _unpack_matrix(buf: bytes, offset: int) -> tuple[np.ndarray, int]:
+def _read_checked(path, magic: bytes, what: str, fields: int, payload) -> tuple[bytes, tuple]:
+    """File bytes and their header, once the file size matches the header.
+
+    The header is the magic and ``fields`` positive u32 values; the file must
+    hold exactly ``payload(*values)`` bytes after it.  Callers allocate only
+    after this check, so a corrupt header cannot ask for a huge array.
+    """
+    buf = Path(path).read_bytes()
+    head = 4 + 4 * fields
+    if len(buf) < head:
+        raise FormatError(f"{path}: {len(buf)} bytes, too short for a {what} header")
+    if buf[:4] != magic:
+        raise FormatError(f"{path}: bad {what} magic")
+    values = struct.unpack_from(f"<{fields}I", buf, 4)
+    if 0 in values:
+        raise FormatError(f"{path}: {what} header has a zero dimension {values}")
+    expected = head + payload(*values)
+    if len(buf) != expected:
+        raise FormatError(f"{path}: header implies {expected} bytes, file has {len(buf)}")
+    return buf, values
+
+
+def _unpack_matrix(buf: bytes, offset: int, n: int, where: str) -> np.ndarray:
+    """The n x n matrix record at ``offset``; the caller has checked the size."""
     if buf[offset : offset + 4] != _MAGIC_MATRIX:
-        raise FormatError("bad matrix magic")
-    (n,) = struct.unpack_from("<I", buf, offset + 4)
-    start = offset + 8
-    end = start + 8 * n * n
-    M = np.frombuffer(buf[start:end], dtype="<f8").reshape(n, n).astype(float)
-    return M, end
+        raise FormatError(f"{where}: bad matrix magic")
+    (m,) = struct.unpack_from("<I", buf, offset + 4)
+    if m != n:
+        raise FormatError(f"{where}: matrix has dim {m} != {n}")
+    return np.frombuffer(buf, dtype="<f8", count=n * n, offset=offset + 8).reshape(n, n)
 
 
 def save_matrix_binary(path, M: np.ndarray) -> None:
@@ -80,11 +102,8 @@ def save_matrix_binary(path, M: np.ndarray) -> None:
 
 
 def load_matrix_binary(path) -> np.ndarray:
-    buf = Path(path).read_bytes()
-    M, end = _unpack_matrix(buf, 0)
-    if end != len(buf):
-        raise FormatError(f"{path}: trailing bytes after matrix payload")
-    return M
+    buf, (n,) = _read_checked(path, _MAGIC_MATRIX, "matrix", 1, lambda n: 8 * n * n)
+    return _unpack_matrix(buf, 0, n, str(path)).astype(float)
 
 
 # ---------------------------------------------------------------------------
@@ -103,19 +122,13 @@ def save_trajectory(path, traj: CovarianceTrajectory) -> None:
 
 
 def load_trajectory(path) -> CovarianceTrajectory:
-    buf = Path(path).read_bytes()
-    if buf[:4] != _MAGIC_TRAJ:
-        raise FormatError(f"{path}: bad trajectory magic")
-    dim, length = struct.unpack_from("<II", buf, 4)
+    buf, (dim, length) = _read_checked(
+        path, _MAGIC_TRAJ, "trajectory", 2, lambda n, T: T * (8 + 8 * n * n)
+    )
+    record = 8 + 8 * dim * dim
     mats = np.empty((length, dim, dim))
-    offset = 12
     for k in range(length):
-        M, offset = _unpack_matrix(buf, offset)
-        if M.shape[0] != dim:
-            raise FormatError(f"{path}: matrix {k} has dim {M.shape[0]} != {dim}")
-        mats[k] = M
-    if offset != len(buf):
-        raise FormatError(f"{path}: trailing bytes after trajectory payload")
+        mats[k] = _unpack_matrix(buf, 12 + k * record, dim, f"{path}: matrix {k}")
     return CovarianceTrajectory(matrices=mats)
 
 
@@ -134,13 +147,7 @@ def save_basis(path, basis: StiefelBasis) -> None:
 
 
 def load_basis(path) -> StiefelBasis:
-    buf = Path(path).read_bytes()
-    if buf[:4] != _MAGIC_BASIS:
-        raise FormatError(f"{path}: bad basis magic")
-    n, d = struct.unpack_from("<II", buf, 4)
-    expected = 12 + 8 * n * d
-    if len(buf) != expected:
-        raise FormatError(f"{path}: expected {expected} bytes, got {len(buf)}")
+    buf, (n, d) = _read_checked(path, _MAGIC_BASIS, "basis", 2, lambda n, d: 8 * n * d)
     B = np.frombuffer(buf[12:], dtype="<f8").reshape((n, d), order="F").astype(float)
     return StiefelBasis(matrix=B)
 

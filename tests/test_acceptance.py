@@ -120,7 +120,7 @@ def test_acceptance_03_experiment1_reduction_trends():
     items = [CovarianceTrajectory(matrices=M[None]) for M in mats]
     ids = [f"m{i:03d}" for i in range(len(items))]
 
-    D = distance_matrix(items, ids, metric="dc", threads=4)
+    D = distance_matrix(items, ids, metric="dc")
     _, _, ratio_full = block_contrast(D, labels)
     assert ratio_full < 1.0
 
@@ -129,7 +129,7 @@ def test_acceptance_03_experiment1_reduction_trends():
     for d in (20, 10, 5):
         model = fit(mats, d, max_iters=60, seed=0)
         reduced = [reduce_trajectory(tr, model) for tr in items]
-        Dd = distance_matrix(reduced, ids, metric="dc", threads=4)
+        Dd = distance_matrix(reduced, ids, metric="dc")
         gaps[d] = frobenius_gap(D, Dd)
         ratios[d] = block_contrast(Dd, labels)[2]
 
@@ -299,7 +299,7 @@ def test_acceptance_07_reduction_recovery():
 def test_acceptance_08_classification_suite():
     started = time.perf_counter()
     coll = gen_two_class(40, 4, 10, separation=3.0, seed=88)
-    D = distance_matrix(coll.trajectories, metric="dc", grid=40, threads=4)
+    D = distance_matrix(coll.trajectories, metric="dc", grid=40)
     lab = LabeledCollection(labels=coll.labels, distances=D)
     rep = cross_validate(lab, folds=5, k=1, seed=0)
     assert rep.overall >= 0.95

@@ -418,7 +418,21 @@ def test_refine_warp_stays_in_slope_window_and_beats_seed():
     assert g[0] == 0.0 and g[-1] == 1.0
     assert slopes.min() >= 1.0 / 3.0 - 1e-9 and slopes.max() <= 3.0 + 1e-9
     projected = np.concatenate([[0.0], np.cumsum(A._project_slopes(np.diff(seed), dt))])
-    assert A._warp_cost(gr, g) <= A._warp_cost(gr, projected)
+    cost = A._cost_evaluator(gr)
+    assert cost(np.diff(g))[0] <= cost(np.diff(projected))[0]
+
+
+def test_warp_search_in_canonical_order_is_exactly_symmetric(rng):
+    for _ in range(3):
+        a, b = (sample_curve(smooth_unitdet_curve(rng, 3), 30) for _ in range(2))
+        f1, f2 = (A._trajectory_features(resample_trajectory(t, 40), False, None) for t in (a, b))
+        d12, d21, w12, w21, dc = A._dq_from_features(f1, f2)
+        e21, e12, v21, v12, ec = A._dq_from_features(f2, f1)
+        assert (e12, e21, ec) == (d12, d21, dc)
+        for w, v in ((w12, v12), (w21, v21)):
+            assert np.array_equal(w.knots_x, v.knots_x) and np.array_equal(w.knots_y, v.knots_y)
+        assert A._dc_from_features(f1, f2) == A._dc_from_features(f2, f1) == dc
+        assert max(d12, d21) <= dc
 
 
 def test_refine_warp_logs_non_convergence(rng, caplog):

@@ -2,7 +2,16 @@ import numpy as np
 import pytest
 
 from conftest import sample_curve, smooth_unitdet_curve
-from spdtraj.alignment import TrajectoryPair, apply_warp, dist_dc, random_warp
+from spdtraj.alignment import (
+    TrajectoryPair,
+    _dq_from_features,
+    _trajectory_features,
+    align_dq,
+    apply_warp,
+    dist_dc,
+    random_warp,
+    resample_trajectory,
+)
 from spdtraj.analysis import (
     DistanceMatrix,
     LabeledCollection,
@@ -49,11 +58,22 @@ def test_distance_matrix_dq_below_dc(rng):
     assert np.all(Dq.values <= Dc.values + 1e-8)
 
 
-def test_distance_matrix_thread_determinism(rng):
-    trajs = _collection(rng, 5, T=20)
-    D1 = distance_matrix(trajs, metric="dc", threads=1)
-    D4 = distance_matrix(trajs, metric="dc", threads=4)
-    np.testing.assert_array_equal(D1.values, D4.values)
+def test_dq_matrix_entry_is_both_align_dq_directions(rng):
+    # one warp search per pair: the matrix entry and align_dq in either
+    # direction are the two halves of the same computation, bit for bit
+    for _ in range(2):
+        a, b = _collection(rng, 2, T=20)
+        D = distance_matrix([a, b], metric="dq", grid=50)
+        d_ab, w_ab = align_dq(TrajectoryPair(a, b), grid=50)
+        d_ba, w_ba = align_dq(TrajectoryPair(b, a), grid=50)
+        assert D.values[0, 1] == max(d_ab, d_ba)
+        assert D.asymmetry == abs(d_ab - d_ba)
+        fa, fb = (_trajectory_features(resample_trajectory(t, 50), False, None) for t in (a, b))
+        d12, d21, w12, w21, dc = _dq_from_features(fa, fb)
+        assert (d_ab, d_ba) == (d12, d21)
+        assert np.array_equal(w_ab.knots_y, w12.knots_y)
+        assert np.array_equal(w_ba.knots_y, w21.knots_y)
+        assert D.unaligned.values[0, 1] == dc
 
 
 def test_distance_matrix_permutation_equivariance(rng):

@@ -133,6 +133,22 @@ def test_distance_thread_count_invariance(tmp_path, twoclass_dir):
     assert o1.read_text() == o2.read_text()
 
 
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        (b"SPDT\x01\x00", "too short"),
+        (b"SPDT" + np.array([60000, 60000], "<u4").tobytes() + bytes(16), "header implies"),
+    ],
+)
+def test_distance_malformed_archive_exit_2(tmp_path, twoclass_dir, capsys, payload, message):
+    bad = tmp_path / "bad.spdt"
+    bad.write_bytes(payload)
+    good = str(sorted(twoclass_dir.glob("traj*.spdt"))[0])
+    assert run(["distance", good, str(bad), "--out", str(tmp_path / "d.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and message in err
+
+
 # ---------------------------------------------------------------------------
 # reduce
 

@@ -21,6 +21,13 @@ from spdtraj.geometry import dist_full, dist_unitdet, log_det, sym_exp, sym_log
 # shrinkage estimator
 
 
+def test_covariance_trajectory_leaves_callers_array_untouched():
+    a = np.array([[[2.0, 0.1], [0.3, 2.0]]])
+    traj = CovarianceTrajectory(matrices=a)
+    assert a[0, 0, 1] == 0.1 and a[0, 1, 0] == 0.3
+    assert traj.matrices[0, 0, 1] == traj.matrices[0, 1, 0] == 0.2
+
+
 def test_ledoit_wolf_monte_carlo_identity(rng):
     X = rng.normal(size=(10_000, 3))
     sigma, diag = ledoit_wolf(X)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from conftest import random_unitdet, sample_curve, smooth_unitdet_curve
 from spdtraj import io
@@ -52,6 +54,45 @@ def test_trajectory_rejects_truncated(tmp_path, rng):
     path.write_bytes(path.read_bytes()[:-10])
     with pytest.raises(Exception):
         io.load_trajectory(path)
+
+
+def _valid_file(kind: str, n: int, k: int) -> bytes:
+    """Bytes of a valid matrix, trajectory (length k) or basis (n x min(k, n)) file."""
+    if kind == "matrix":
+        return b"SPDM" + np.array([n], "<u4").tobytes() + np.eye(n).tobytes()
+    if kind == "trajectory":
+        record = b"SPDM" + np.array([n], "<u4").tobytes() + np.eye(n).tobytes()
+        return b"SPDT" + np.array([n, k], "<u4").tobytes() + record * k
+    d = min(k, n)
+    return b"STFB" + np.array([n, d], "<u4").tobytes() + np.eye(n)[:, :d].tobytes(order="F")
+
+
+_LOADERS = {"matrix": io.load_matrix_binary, "trajectory": io.load_trajectory,
+            "basis": io.load_basis}
+
+
+@given(hs.sampled_from(sorted(_LOADERS)), hs.integers(1, 4), hs.integers(1, 4), hs.data())
+@settings(max_examples=80, deadline=None)
+def test_every_truncation_raises_format_error(tmp_path_factory, kind, n, k, data):
+    raw = _valid_file(kind, n, k)
+    path = tmp_path_factory.mktemp("trunc") / f"f.{kind}"
+    path.write_bytes(raw)
+    _LOADERS[kind](path)  # the untruncated file loads
+    keep = data.draw(hs.integers(0, len(raw) - 1), label="kept bytes")
+    path.write_bytes(raw[:keep])
+    with pytest.raises(io.FormatError):
+        _LOADERS[kind](path)
+
+
+@pytest.mark.parametrize("kind", sorted(_LOADERS))
+def test_header_larger_than_file_is_rejected_before_allocation(tmp_path, kind):
+    # 60000^3 doubles would be 1.5 PiB: the size check must come first
+    raw = bytearray(_valid_file(kind, 2, 2))
+    raw[4:12] = np.array([60000, 60000], "<u4").tobytes()
+    path = tmp_path / "huge.bin"
+    path.write_bytes(bytes(raw))
+    with pytest.raises(io.FormatError, match="header implies"):
+        _LOADERS[kind](path)
 
 
 def test_basis_roundtrip_column_major(tmp_path, rng):
