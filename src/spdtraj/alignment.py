@@ -69,6 +69,9 @@ _SLOPE_MAX = 3.0
 # this fraction of the cost; as d_q^2 >= cost, d_q would move by less than
 # half of it, relatively.
 _REFINE_RTOL = 1e-7
+# Gaussian width, in grid steps, of the smoothing applied to a lattice path
+# before it seeds the refinement.
+_PRESMOOTH_WIDTH = 2.0
 # A refinement step is accepted when it lowers the cost below the largest of
 # this many recent costs (nonmonotone line search).
 _REFINE_MEMORY = 3
@@ -467,10 +470,10 @@ def _cost_evaluator(gr: _PairGrams):
     return fg
 
 
-def _presmooth_warp(g: np.ndarray, width: float = 2.0) -> np.ndarray:
+def _presmooth_warp(g: np.ndarray) -> np.ndarray:
     T = g.shape[0]
     ts = np.linspace(0.0, 1.0, T)
-    sig = width / (T - 1)
+    sig = _PRESMOOTH_WIDTH / (T - 1)
     W = np.exp(-0.5 * ((ts[:, None] - ts[None, :]) / sig) ** 2)
     gs = (W @ g) / W.sum(axis=1)
     gs = gs - gs[0]
@@ -563,7 +566,7 @@ def _project_slopes(y: np.ndarray, dt: float) -> np.ndarray:
 
 
 def _dq_from_features(
-    f1: _Features, f2: _Features, refine: bool = True
+    f1: _Features, f2: _Features
 ) -> tuple[float, float, WarpingFunction, WarpingFunction, float]:
     """The warp search of an unordered pair: ``(d_12, d_21, warp_12, warp_21, d_c)``.
 
@@ -597,15 +600,14 @@ def _dq_from_features(
     dc = float(np.sqrt(gap_sq + identity_cost))
 
     paths = [tuple(k * dt for k in _dp_lattice(table, dt)) for table in tables]
-    refined: list[list[np.ndarray]] = [[], []]
-    if refine:
-        for d, table in enumerate(tables):
-            (px, py), (ox, oy) = paths[d], paths[1 - d]
-            seeds = [_presmooth_warp(np.interp(ts, px, py)),
-                     _presmooth_warp(np.interp(ts, oy, ox))]
-            if np.array_equal(seeds[0], seeds[1]):
-                seeds.pop()  # the two lattice paths agree: refine once
-            refined[d] = [_refine_warp(table, g0) for g0 in seeds]
+    refined = []
+    for d, table in enumerate(tables):
+        (px, py), (ox, oy) = paths[d], paths[1 - d]
+        seeds = [_presmooth_warp(np.interp(ts, px, py)),
+                 _presmooth_warp(np.interp(ts, oy, ox))]
+        if np.array_equal(seeds[0], seeds[1]):
+            seeds.pop()  # the two lattice paths agree: refine once
+        refined.append([_refine_warp(table, g0) for g0 in seeds])
 
     out = []
     for d, table in enumerate(tables):
@@ -620,26 +622,11 @@ def _dq_from_features(
             # earlier (more canonical) candidates win ties within roundoff
             if c < best_cost - 1e-12 * (1.0 + abs(best_cost)):
                 best, best_cost = (gx, gy), c
-        out.append((float(np.sqrt(max(gap_sq + best_cost, 0.0))), _knots_to_warp(*best)))
+        # every candidate's knots increase strictly: lattice moves take at
+        # least one step, and refined increments are at least dt/3
+        out.append((float(np.sqrt(max(gap_sq + best_cost, 0.0))), WarpingFunction(*best)))
     (d12, w12), (d21, w21) = out[::-1] if swap else out
     return d12, d21, w12, w21, dc
-
-
-def _knots_to_warp(gx: np.ndarray, gy: np.ndarray) -> WarpingFunction:
-    """Greedily drop knots that would violate strict monotonicity."""
-    gy = np.maximum.accumulate(gy)
-    keep = [0]
-    for i in range(1, gx.size):
-        if gx[i] > gx[keep[-1]] + 1e-12 and gy[i] > gy[keep[-1]] + 1e-12:
-            keep.append(i)
-    last = gx.size - 1
-    while len(keep) > 1 and (
-        gx[last] <= gx[keep[-1]] + 1e-12 or gy[last] <= gy[keep[-1]] + 1e-12
-    ):
-        keep.pop()
-    if keep[-1] != last:
-        keep.append(last)
-    return WarpingFunction(knots_x=gx[keep], knots_y=gy[keep])
 
 
 def align_dq(
@@ -648,21 +635,24 @@ def align_dq(
     *,
     include_logdet: bool = False,
     w_det: float | None = None,
-    refine: bool = True,
 ) -> tuple[float, WarpingFunction]:
     """Rate-invariant aligned distance and the warp attaining it.
 
     The returned warp reparameterizes the SECOND trajectory: it minimizes
     ``sqrt(l_x^2 + integral ||q1||(t) - q2(gamma(t)) sqrt(gamma'(t))||^2)``
-    over the discretized warp group.  The identity warp is always a
-    candidate, so the result never exceeds ``dist_dc`` on the same grid.
+    over the discretized warp group.  Both trajectories are resampled to
+    ``grid`` points and searched as one pair (`_dq_from_features`): the
+    lattice paths of both directions, each refined in the slope window.
+    ``align_dq(b, a)`` is the other direction of the same search.  The
+    identity warp is always a candidate, so the result never exceeds
+    ``dist_dc`` on the same grid.
     """
     if grid < 2:
         raise ValueError("alignment grid must be at least 2")
     a1, a2 = _common_grid(pair, grid)
     f1 = _trajectory_features(a1, include_logdet, w_det)
     f2 = _trajectory_features(a2, include_logdet, w_det)
-    dq, _, warp, _, _ = _dq_from_features(f1, f2, refine=refine)
+    dq, _, warp, _, _ = _dq_from_features(f1, f2)
     return dq, warp
 
 

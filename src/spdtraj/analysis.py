@@ -76,20 +76,6 @@ class LabeledCollection:
         return self.labels.shape[0]
 
 
-def _features_for(trajs, include_logdet, w_det, grid):
-    feats = []
-    for tr in trajs:
-        if tr.length == 1:
-            feats.append(_point_features(tr, include_logdet, w_det))
-        else:
-            feats.append(
-                _trajectory_features(
-                    resample_trajectory(tr, grid), include_logdet, w_det
-                )
-            )
-    return feats
-
-
 def distance_matrix(
     trajectories: list[CovarianceTrajectory],
     ids: list[str] | None = None,
@@ -99,9 +85,15 @@ def distance_matrix(
     include_logdet: bool = False,
     w_det: float | None = None,
     reduction: ReductionModel | StiefelBasis | None = None,
-    refine: bool = True,
 ) -> DistanceMatrix:
     """All-pairs distances over a trajectory collection.
+
+    ``dc`` and ``dq`` compare TSRVF features on one grid for the whole
+    collection: when every item is a single matrix, the features are points
+    and both metrics are the start-point distance; otherwise every item is
+    resampled to ``grid`` samples, so a single matrix becomes a constant
+    trajectory, as in `dist_dc`.  ``logeuclidean`` resamples every item to
+    the longest item's length.
 
     Pairs are computed one after another.  Each ``dq`` pair runs one warp
     search, in the pair's canonical order, that scores both alignment
@@ -139,17 +131,20 @@ def distance_matrix(
                 return float(np.sqrt(d2[0])), 0.0, np.nan
             return float(np.sqrt(np.trapezoid(d2, dx=1.0 / (common - 1)))), 0.0, np.nan
     else:
-        lengths = {tr.length for tr in trajectories}
-        if lengths == {1}:
+        points = all(tr.length == 1 for tr in trajectories)
+        if points:
             feats = [_point_features(tr, include_logdet, w_det) for tr in trajectories]
         else:
-            feats = _features_for(trajectories, include_logdet, w_det, grid)
+            feats = [
+                _trajectory_features(resample_trajectory(tr, grid), include_logdet, w_det)
+                for tr in trajectories
+            ]
 
         def work(i, j):
-            if metric == "dc" or feats[i].q.shape[0] == 1:
+            if metric == "dc" or points:
                 d = _dc_from_features(feats[i], feats[j])
                 return d, 0.0, d
-            d_ij, d_ji, _, _, dc = _dq_from_features(feats[i], feats[j], refine=refine)
+            d_ij, d_ji, _, _, dc = _dq_from_features(feats[i], feats[j])
             return max(d_ij, d_ji), abs(d_ij - d_ji), dc
 
     for i in range(N):

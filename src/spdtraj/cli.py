@@ -6,12 +6,15 @@ All randomness flows from explicit --seed flags; artifacts are byte-identical
 across reruns and ``--threads`` values (the option has no effect: pairs
 run one after another).
 
-Exit codes: 0 success, 1 runtime/numerical failure, 2 configuration error.
+A Stiefel basis is fitted only by ``reduce``; ``distance`` and ``classify``
+apply a saved one with ``--basis``.
+
+Exit codes: 0 success, 1 runtime/numerical failure, 2 configuration or
+input-format error.
 """
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 from pathlib import Path
@@ -39,11 +42,6 @@ class CliConfigError(Exception):
 
 
 _THREADS_HELP = "accepted for compatibility; has no effect (pairs run serially)"
-
-
-def _scratch_dir() -> Path:
-    env = os.environ.get("SPDTRAJ_SCRATCH")
-    return Path(env) if env else Path(".")
 
 
 class _Manifest:
@@ -80,6 +78,11 @@ def _config_dict(args: argparse.Namespace, skip=("func",)) -> dict:
             continue
         out[k] = str(v) if isinstance(v, Path) else v
     return out
+
+
+def _check_grid(grid: int) -> None:
+    if grid < 2:
+        raise CliConfigError(f"--grid must be at least 2, got {grid}")
 
 
 def _load_items(paths: list[str], items_mode: str):
@@ -208,7 +211,6 @@ def _cmd_reduce(args) -> int:
         tol=args.tol,
         seed=args.seed,
         pair_cap=args.pair_cap,
-        restarts=args.restarts,
     )
     man.stop("fit")
     out = Path(args.out)
@@ -234,6 +236,7 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_distance(args) -> int:
+    _check_grid(args.grid)
     man = _Manifest("distance", _config_dict(args))
     for p in args.inputs:
         man.add_input(p)
@@ -245,26 +248,9 @@ def _cmd_distance(args) -> int:
     if args.basis:
         man.add_input(args.basis)
         reduction = io.load_basis(args.basis)
-    elif args.reduce:
-        if len(dims) != 1:
-            raise CliConfigError(
-                f"mixed dimensions {sorted(dims)}: supply --basis trained per dimension"
-            )
-        n = dims.copy().pop()
-        if not 1 <= args.reduce < n:
-            raise CliConfigError(f"--reduce must satisfy 1 <= d < n={n}")
-        training = [normalize_det(M)[0] for t in trajs for M in t.matrices]
-        man.start("fit")
-        model = fit(training, args.reduce, seed=args.seed, max_iters=args.max_iters)
-        man.stop("fit")
-        reduction = model.basis
-        bpath = Path(args.basis_out) if args.basis_out else _scratch_dir() / "reduce_basis.stfb"
-        bpath.parent.mkdir(parents=True, exist_ok=True)
-        io.save_basis(bpath, reduction)
-        man.add_output(bpath)
-    if len(dims) != 1 and reduction is None:
+    elif len(dims) != 1:
         raise CliConfigError(
-            f"inputs have mixed dimensions {sorted(dims)} and no --basis/--reduce given"
+            f"inputs have mixed dimensions {sorted(dims)} and no --basis given"
         )
 
     man.start("distances")
@@ -313,6 +299,7 @@ def _cmd_distance(args) -> int:
 
 
 def _cmd_classify(args) -> int:
+    _check_grid(args.grid)
     man = _Manifest("classify", _config_dict(args))
     man.add_input(args.labels)
     label_map = io.load_labels_csv(args.labels)
@@ -409,6 +396,7 @@ def _random_trajectory(rng, n: int, T: int) -> CovarianceTrajectory:
 
 
 def _cmd_bench(args) -> int:
+    _check_grid(args.grid)
     man = _Manifest("bench", _config_dict(args))
     sizes = [int(s) for s in args.sizes.split(",") if s]
     if not sizes or any(s < 2 for s in sizes):
@@ -494,7 +482,6 @@ def build_parser() -> argparse.ArgumentParser:
     red.add_argument("--d", type=int, required=True)
     red.add_argument("--max-iters", type=int, default=200)
     red.add_argument("--tol", type=float, default=1e-6)
-    red.add_argument("--restarts", type=int, default=0)
     red.add_argument("--pair-cap", type=int, default=2048)
     red.add_argument("--seed", type=int, default=0)
     red.add_argument("--out", required=True, help="output .stfb basis path")
@@ -504,15 +491,11 @@ def build_parser() -> argparse.ArgumentParser:
     dist.add_argument("inputs", nargs="+", help="SPDT trajectory archives")
     dist.add_argument("--metric", choices=["dc", "dq", "logeuclidean"], default="dc")
     dist.add_argument("--items", choices=["trajectories", "matrices"], default="trajectories")
-    dist.add_argument("--reduce", type=int, default=None, help="fit basis to this d")
-    dist.add_argument("--basis", default=None, help="apply a saved basis")
-    dist.add_argument("--basis-out", default=None)
-    dist.add_argument("--max-iters", type=int, default=200)
+    dist.add_argument("--basis", default=None, help="apply a basis saved by reduce")
     dist.add_argument("--w-det", type=float, default=None)
     dist.add_argument("--include-logdet", action="store_true")
     dist.add_argument("--grid", type=int, default=100)
     dist.add_argument("--threads", type=int, default=1, help=_THREADS_HELP)
-    dist.add_argument("--seed", type=int, default=0)
     dist.add_argument("--out", required=True)
     dist.set_defaults(func=_cmd_distance)
 
@@ -557,11 +540,10 @@ def main(argv=None) -> int:
     except CliConfigError as e:
         print(f"configuration error: {e}", file=sys.stderr)
         return 2
-    except (ValueError, NotPositiveDefiniteError, io.FormatError) as e:
-        # semantic misconfiguration detected by the library layer
-        if isinstance(e, (io.FormatError,)):
-            print(f"input error: {e}", file=sys.stderr)
-            return 2
+    except io.FormatError as e:
+        print(f"input error: {e}", file=sys.stderr)
+        return 2
+    except (ValueError, NotPositiveDefiniteError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except OSError as e:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import struct
 from pathlib import Path
 
@@ -34,6 +35,38 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
+def _lines(path) -> list[tuple[int, str]]:
+    """The non-blank lines of a text file with their 1-based line numbers."""
+    text = Path(path).read_text()
+    return [(k, ln) for k, ln in enumerate(text.splitlines(), 1) if ln.strip()]
+
+
+def _cells(
+    path, lineno: int, line: str, width: int | None = None, number: bool = True
+) -> list:
+    """The comma-separated cells of one CSV line: finite floats, or strings.
+
+    Every CSV loader parses its rows here, so a row of the wrong width or a
+    cell that is not a finite number is one `FormatError` naming the file
+    and line.
+    """
+    cells = line.split(",")
+    if width is not None and len(cells) != width:
+        raise FormatError(f"{path}:{lineno}: expected {width} cells, found {len(cells)}")
+    if not number:
+        return cells
+    values = []
+    for c in cells:
+        try:
+            v = float(c)
+        except ValueError:
+            raise FormatError(f"{path}:{lineno}: cell {c!r} is not a number") from None
+        if not math.isfinite(v):
+            raise FormatError(f"{path}:{lineno}: cell {c!r} is not finite")
+        values.append(v)
+    return values
+
+
 # ---------------------------------------------------------------------------
 # matrices
 
@@ -48,16 +81,14 @@ def save_matrix_csv(path, M: np.ndarray) -> None:
 
 
 def load_matrix_csv(path) -> np.ndarray:
-    lines = Path(path).read_text().strip().splitlines()
-    if not lines or not lines[0].startswith("n="):
+    lines = _lines(path)
+    head = lines[0][1] if lines else ""
+    if not head.startswith("n=") or not head[2:].isdigit() or int(head[2:]) < 1:
         raise FormatError(f"{path}: missing 'n=<dim>' header")
-    n = int(lines[0][2:])
+    n = int(head[2:])
     if len(lines) != n + 1:
         raise FormatError(f"{path}: expected {n} rows, found {len(lines) - 1}")
-    M = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
-    if M.shape != (n, n):
-        raise FormatError(f"{path}: expected {n}x{n} entries, got {M.shape}")
-    return M
+    return np.array([_cells(path, k, ln, n) for k, ln in lines[1:]])
 
 
 def _pack_matrix(M: np.ndarray) -> bytes:
@@ -166,14 +197,16 @@ def save_timeseries_csv(path, ts: MultivariateTimeSeries, header: list[str] | No
 
 
 def load_timeseries_csv(path) -> MultivariateTimeSeries:
-    lines = [ln for ln in Path(path).read_text().strip().splitlines() if ln.strip()]
+    lines = _lines(path)
+    if lines:
+        try:
+            _cells(path, *lines[0])
+        except FormatError:
+            lines = lines[1:]  # header row
     if not lines:
         raise FormatError(f"{path}: empty time-series file")
-    try:
-        [float(v) for v in lines[0].split(",")]
-    except ValueError:
-        lines = lines[1:]  # header row
-    values = np.array([[float(v) for v in ln.split(",")] for ln in lines])
+    width = lines[0][1].count(",") + 1
+    values = np.array([_cells(path, k, ln, width) for k, ln in lines])
     return MultivariateTimeSeries(values=values)
 
 
@@ -187,15 +220,11 @@ def save_warp_csv(path, warp) -> None:
 def load_warp_csv(path):
     from .alignment import WarpingFunction
 
-    lines = [ln for ln in Path(path).read_text().strip().splitlines() if ln.strip()]
-    if lines and lines[0].startswith("t,"):
+    lines = _lines(path)
+    if lines and lines[0][1].startswith("t,"):
         lines = lines[1:]
-    xs, ys = [], []
-    for ln in lines:
-        a, b = ln.split(",")
-        xs.append(float(a))
-        ys.append(float(b))
-    return WarpingFunction(knots_x=np.array(xs), knots_y=np.array(ys))
+    knots = np.array([_cells(path, k, ln, 2) for k, ln in lines]).reshape(-1, 2)
+    return WarpingFunction(knots_x=knots[:, 0], knots_y=knots[:, 1])
 
 
 def save_distance_csv(path, D: DistanceMatrix) -> None:
@@ -206,16 +235,26 @@ def save_distance_csv(path, D: DistanceMatrix) -> None:
 
 
 def load_distance_csv(path, metric: str = "unknown") -> DistanceMatrix:
-    lines = [ln for ln in Path(path).read_text().strip().splitlines() if ln.strip()]
+    """A distance matrix: a header of unique ids, then one row per id.
+
+    Every value must be a finite, nonnegative number.
+    """
+    lines = _lines(path)
     if not lines:
         raise FormatError(f"{path}: empty distance file")
-    ids = lines[0].split(",")
-    vals = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
-    if vals.shape != (len(ids), len(ids)):
-        raise FormatError(
-            f"{path}: expected {len(ids)}x{len(ids)} values, got {vals.shape}"
-        )
-    return DistanceMatrix(ids=ids, values=vals, metric=metric)
+    ids = _cells(path, *lines[0], number=False)
+    if len(set(ids)) != len(ids):
+        dup = next(i for i in ids if ids.count(i) > 1)
+        raise FormatError(f"{path}:{lines[0][0]}: duplicate id {dup!r}")
+    if len(lines) != len(ids) + 1:
+        raise FormatError(f"{path}: expected {len(ids)} rows, found {len(lines) - 1}")
+    rows = []
+    for k, ln in lines[1:]:
+        row = _cells(path, k, ln, len(ids))
+        if min(row) < 0:
+            raise FormatError(f"{path}:{k}: negative distance {min(row)!r}")
+        rows.append(row)
+    return DistanceMatrix(ids=ids, values=np.array(rows), metric=metric)
 
 
 def save_labels_csv(path, ids: list[str], labels) -> None:
@@ -226,12 +265,15 @@ def save_labels_csv(path, ids: list[str], labels) -> None:
 
 
 def load_labels_csv(path) -> dict[str, str]:
-    lines = [ln for ln in Path(path).read_text().strip().splitlines() if ln.strip()]
-    if lines and lines[0] == "id,label":
+    """Labels by id from ``id,label`` rows; ids are unique."""
+    lines = _lines(path)
+    if lines and lines[0][1] == "id,label":
         lines = lines[1:]
     out = {}
-    for ln in lines:
-        i, lab = ln.split(",", 1)
+    for k, ln in lines:
+        i, lab = _cells(path, k, ln, 2, number=False)
+        if i in out:
+            raise FormatError(f"{path}:{k}: duplicate id {i!r}")
         out[i] = lab
     return out
 

@@ -171,17 +171,16 @@ def fit(
     tol: float = 1e-6,
     seed: int = 0,
     pair_cap: int = 2048,
-    restarts: int = 0,
     init: np.ndarray | None = None,
 ) -> ReductionModel:
     """Learn a reduction basis by Riemannian gradient ascent.
 
-    Training matrices must be unit-determinant.  The default start is the
-    top-d eigenvector basis of the summed matrix logs (log-domain PCA);
-    ``restarts`` adds that many random orthonormal starts and keeps the best
-    final objective.  Ascent stops when the Riemannian gradient norm falls
-    below ``tol``; otherwise the best iterate is returned with
-    ``converged=False``.
+    Training matrices must be unit-determinant.  ``seed`` picks the pairs
+    when there are more than ``pair_cap`` of them.  The ascent starts from
+    ``init`` or, by default, from the top-d eigenvector basis of the summed
+    matrix logs (log-domain PCA).  It stops when the Riemannian gradient
+    norm falls below ``tol``; otherwise the last accepted (and best) iterate
+    is returned with ``converged=False``.
     """
     mats = [np.asarray(P, dtype=float) for P in training]
     if len(mats) < 2:
@@ -192,18 +191,8 @@ def fit(
     for P in mats:
         require_unit_det(P)
     pairs = build_pairs(mats, cap=pair_cap, seed=seed)
-
-    starts = [init if init is not None else _log_pca_init(mats, d)]
-    rng = np.random.default_rng(seed)
-    for _ in range(restarts):
-        starts.append(_retract(rng.normal(size=(n, d))))
-
-    best = None
-    for B0 in starts:
-        result = _ascend(B0, pairs, max_iters=max_iters, tol=tol)
-        if best is None or result[1][-1] > best[1][-1]:
-            best = result
-    B, trace, converged, gn, iters = best
+    B0 = init if init is not None else _log_pca_init(mats, d)
+    B, trace, converged, gn, iters = _ascend(B0, pairs, max_iters=max_iters, tol=tol)
     return ReductionModel(
         basis=StiefelBasis(matrix=B),
         objective_trace=np.asarray(trace),

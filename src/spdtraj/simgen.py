@@ -112,6 +112,9 @@ def gen_exp2(
     return smooth, warped, warp
 
 
+_WITHIN_SPREAD = 0.15
+
+
 def _random_tracefree(rng: np.random.Generator, n: int, scale: float) -> np.ndarray:
     A = symmetrize(rng.normal(size=(n, n))) * scale
     return A - np.trace(A) / n * np.eye(n)
@@ -123,13 +126,11 @@ def gen_two_class(
     T: int,
     separation: float,
     seed: int,
-    *,
-    within_spread: float = 0.15,
 ) -> LabeledCollection:
     """Two balanced classes of smooth random trajectories around class anchors.
 
     Anchors sit at geodesic distance ``separation``; each trajectory wanders
-    in the anchor's tangent space with scale ``within_spread``.  With
+    in the anchor's tangent space with scale ``_WITHIN_SPREAD``.  With
     ``separation == 0`` the classes are identically distributed.
     """
     if min(N_per_class, n, T) < 1:
@@ -148,8 +149,8 @@ def gen_two_class(
     for c in (0, 1):
         for i in range(N_per_class):
             rng = derived_rng(seed, "twoclass-traj", c, i)
-            offset = _random_tracefree(rng, n, within_spread)
-            wobble = [_random_tracefree(rng, n, within_spread) for _ in range(2)]
+            offset = _random_tracefree(rng, n, _WITHIN_SPREAD)
+            wobble = [_random_tracefree(rng, n, _WITHIN_SPREAD) for _ in range(2)]
             phases = rng.uniform(0.0, 2.0 * np.pi, size=2)
             mats = np.empty((T, n, n))
             for k, t in enumerate(times):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from spdtraj import io
+from spdtraj.alignment import resample_trajectory
 from spdtraj.cli import main
 
 
@@ -125,6 +126,35 @@ def test_distance_mixed_dims_exit_2(tmp_path, twoclass_dir):
     assert code == 2
 
 
+def test_distance_point_and_trajectory_match_constant_copy(tmp_path, rng):
+    # a single matrix in a collection with trajectories is compared as the
+    # constant trajectory it resamples to, in either listing order
+    from conftest import random_spd, sample_curve, smooth_unitdet_curve
+    from spdtraj.alignment import _swap_to_canonical, _trajectory_features
+    from spdtraj.analysis import distance_matrix
+    from spdtraj.estimation import CovarianceTrajectory
+
+    grid = 20
+    a = sample_curve(smooth_unitdet_curve(rng, 3), 5)
+    fa = _trajectory_features(resample_trajectory(a, grid), False, None)
+    while True:  # the point must come first in the pair's canonical order
+        p = CovarianceTrajectory(matrices=random_spd(rng, 3)[None])
+        copy = resample_trajectory(p, grid)
+        if not _swap_to_canonical(_trajectory_features(copy, False, None), fa):
+            break
+    pa, aa = tmp_path / "p.spdt", tmp_path / "a.spdt"
+    io.save_trajectory(pa, p)
+    io.save_trajectory(aa, a)
+    for metric in ("dc", "dq"):
+        expected = distance_matrix([copy, a], metric=metric, grid=grid).values[0, 1]
+        for order in ((pa, aa), (aa, pa)):
+            out = tmp_path / f"{metric}.csv"
+            argv = ["distance", *map(str, order), "--metric", metric,
+                    "--grid", str(grid), "--out", str(out)]
+            assert run(argv) == 0
+            assert io.load_distance_csv(out).values[0, 1] == expected
+
+
 def test_distance_thread_count_invariance(tmp_path, twoclass_dir):
     inputs = [str(p) for p in sorted(twoclass_dir.glob("traj*.spdt"))[:5]]
     o1, o2 = tmp_path / "d1.csv", tmp_path / "d2.csv"
@@ -180,11 +210,11 @@ def test_distance_with_reduce_block_pattern(tmp_path):
          "--out-dir", str(out)]
     ) == 0
     inputs = [str(p) for p in sorted(out.glob("set*.spdt"))]
-    dpath = tmp_path / "d.csv"
+    basis, dpath = tmp_path / "b.stfb", tmp_path / "d.csv"
+    assert run(["reduce", *inputs, "--d", "4", "--max-iters", "60", "--out", str(basis)]) == 0
     assert run(
         ["distance", *inputs, "--items", "matrices", "--metric", "dc",
-         "--reduce", "4", "--max-iters", "60", "--basis-out", str(tmp_path / "b.stfb"),
-         "--out", str(dpath)]
+         "--basis", str(basis), "--out", str(dpath)]
     ) == 0
     D = io.load_distance_csv(dpath)
     labels = np.array([i // 4 for i in range(12)])
@@ -302,6 +332,54 @@ def test_bench_align_off_omits_column(tmp_path):
 
 def test_bench_bad_sizes_exit_2(tmp_path):
     assert run(["bench", "--sizes", "1", "--out", str(tmp_path / "b.csv")]) == 2
+
+
+@pytest.mark.parametrize("grid", ["1", "0"])
+@pytest.mark.parametrize("command", ["distance", "classify", "bench"])
+def test_grid_below_two_exit_2(tmp_path, twoclass_dir, capsys, command, grid):
+    inputs = [str(p) for p in sorted(twoclass_dir.glob("traj*.spdt"))]
+    out = ["--grid", grid, "--out", str(tmp_path / "o.csv")]
+    argv = {
+        "distance": ["distance", *inputs[:2], "--metric", "dq", *out],
+        "classify": ["classify", *inputs, "--labels", str(twoclass_dir / "labels.csv"), *out],
+        "bench": ["bench", "--sizes", "3", "--reps", "1", *out],
+    }[command]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "--grid must be at least 2" in err
+
+
+_IDS = "a,b,c,d"
+_ROWS = ["0.0,1.0,5.0,5.0", "1.0,0.0,5.0,5.0", "5.0,5.0,0.0,1.0", "5.0,5.0,1.0,0.0"]
+_LABELS = ["id,label", "a,0", "b,0", "c,1", "d,1"]
+
+
+@pytest.mark.parametrize(
+    "target, line, text, message",
+    [
+        ("distances", 3, "1.0,0.0,x,5.0", "cell 'x' is not a number"),
+        ("distances", 3, "1.0,0.0,5.0", "expected 4 cells, found 3"),
+        ("distances", 4, "5.0,5.0,0.0,nan", "cell 'nan' is not finite"),
+        ("distances", 4, "5.0,5.0,0.0,-1.0", "negative distance -1.0"),
+        ("distances", 1, "a,b,a,d", "duplicate id 'a'"),
+        ("labels", 3, "b 0", "expected 2 cells, found 1"),
+        ("labels", 5, "a,1", "duplicate id 'a'"),
+    ],
+)
+def test_classify_malformed_csv_exit_2(tmp_path, capsys, target, line, text, message):
+    files = {"distances": [_IDS, *_ROWS], "labels": list(_LABELS)}
+    args = ["classify", "--folds", "2", "--out", str(tmp_path / "acc.csv")]
+    for name, lines in files.items():
+        (tmp_path / f"{name}.csv").write_text("\n".join(lines) + "\n")
+        args += [f"--{name}", str(tmp_path / f"{name}.csv")]
+    assert run(args) == 0  # the well-formed files are accepted
+    capsys.readouterr()
+    files[target][line - 1] = text
+    (tmp_path / f"{target}.csv").write_text("\n".join(files[target]) + "\n")
+    assert run(args) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert f"{target}.csv:{line}: {message}" in err
 
 
 # ---------------------------------------------------------------------------

@@ -151,6 +151,33 @@ def test_labels_csv_roundtrip(tmp_path):
     assert io.load_labels_csv(path) == {"a": "0", "b": "1"}
 
 
+@pytest.mark.parametrize(
+    "loader, text, line, message",
+    [
+        (io.load_matrix_csv, "n=2\n1.0,0.0\n0.0,x\n", 3, "cell 'x' is not a number"),
+        (io.load_matrix_csv, "n=2\n1.0,0.0\n\n0.0\n", 4, "expected 2 cells, found 1"),
+        (io.load_timeseries_csv, "a,b\n1.0,2.0\n3.0,inf\n", 3, "cell 'inf' is not finite"),
+        (io.load_timeseries_csv, "1.0,2.0\n3.0\n", 2, "expected 2 cells, found 1"),
+        (io.load_warp_csv, "t,gamma\n0.0,0.0\n0.5,?\n1.0,1.0\n", 3, "cell '?' is not a number"),
+        (io.load_distance_csv, "a,b\n0.0,1.0\n1.0,0.0,2.0\n", 3, "expected 2 cells, found 3"),
+        (io.load_labels_csv, "id,label\na,0\nb\n", 3, "expected 2 cells, found 1"),
+    ],
+)
+def test_csv_loaders_name_file_and_line(tmp_path, loader, text, line, message):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with pytest.raises(io.FormatError) as exc:
+        loader(path)
+    assert str(exc.value) == f"{path}:{line}: {message}"
+
+
+def test_matrix_csv_rejects_non_integer_header(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text("n=two\n1.0,0.0\n0.0,1.0\n")
+    with pytest.raises(io.FormatError, match="header"):
+        io.load_matrix_csv(path)
+
+
 def test_values_csv(tmp_path):
     path = tmp_path / "v.csv"
     io.save_values_csv(path, [0.5, 0.25], header="val")
