@@ -41,15 +41,12 @@ from .estimation import (
     smooth_resample,
 )
 from .geometry import (
-    BasePointMismatchError,
     DimensionMismatchError,
     NotPositiveDefiniteError,
-    Tangent,
     dist_full,
     dist_unitdet,
     exp_map,
     geodesic,
-    inner,
     log_euclidean_dist,
     log_map,
     normalize_det,

@@ -101,6 +101,33 @@ def _load_items(paths: list[str], items_mode: str):
     return ids, trajs
 
 
+def _load_collection(args, man: _Manifest):
+    """Load the items of ``args.inputs`` and ``args.basis``; both become manifest inputs.
+
+    A collection needs at least two items, of one dimension: the basis's
+    ``n`` when a basis reduces them.
+    """
+    for p in args.inputs:
+        man.add_input(p)
+    ids, trajs = _load_items(args.inputs, args.items)
+    if len(trajs) < 2:
+        raise CliConfigError("need at least 2 items")
+    dims = {t.dim for t in trajs}
+    if args.basis:
+        man.add_input(args.basis)
+        basis = io.load_basis(args.basis)
+        if dims != {basis.n}:
+            raise CliConfigError(
+                f"inputs have dimensions {sorted(dims)}; the basis takes {basis.n}"
+            )
+        return ids, trajs, basis
+    if len(dims) != 1:
+        raise CliConfigError(
+            f"inputs have mixed dimensions {sorted(dims)} and no --basis given"
+        )
+    return ids, trajs, None
+
+
 # ---------------------------------------------------------------------------
 # simulate
 
@@ -238,21 +265,7 @@ def _cmd_reduce(args) -> int:
 def _cmd_distance(args) -> int:
     _check_grid(args.grid)
     man = _Manifest("distance", _config_dict(args))
-    for p in args.inputs:
-        man.add_input(p)
-    ids, trajs = _load_items(args.inputs, args.items)
-    if len(trajs) < 2:
-        raise CliConfigError("need at least 2 items")
-    dims = {t.dim for t in trajs}
-    reduction = None
-    if args.basis:
-        man.add_input(args.basis)
-        reduction = io.load_basis(args.basis)
-    elif len(dims) != 1:
-        raise CliConfigError(
-            f"inputs have mixed dimensions {sorted(dims)} and no --basis given"
-        )
-
+    ids, trajs, reduction = _load_collection(args, man)
     man.start("distances")
     D = distance_matrix(
         trajs,
@@ -310,10 +323,7 @@ def _cmd_classify(args) -> int:
     else:
         if not args.inputs:
             raise CliConfigError("provide trajectory inputs or --distances")
-        for p in args.inputs:
-            man.add_input(p)
-        ids, trajs = _load_items(args.inputs, args.items)
-        reduction = io.load_basis(args.basis) if args.basis else None
+        ids, trajs, reduction = _load_collection(args, man)
         man.start("distances")
         D = distance_matrix(
             trajs,

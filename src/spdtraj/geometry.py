@@ -9,13 +9,14 @@ Geodesic distance between unit-determinant matrices::
 
     d(P1, P2) = || log sqrt(P1^-1 P2^2 P1^-1) ||_F
 
-Tangent vectors are stored in the chart at the identity: the group action
-``g . P = sqrt(g P^2 g^T)`` moves any base point to ``I``, and a tangent
-vector at ``P`` is kept as its push-forward coordinates there (a symmetric,
-trace-free matrix for unit-determinant bases).  In this chart the metric is
-the Frobenius inner product, ``exp_map(P, V) = sqrt(P expm(2V) P)``, and
-parallel transport from ``P1`` to ``P2`` is conjugation by the orthogonal
-matrix ``O = P2^-1 P1 sqrt(P1^-1 P2^2 P1^-1)``.
+A tangent vector is a plain coordinate array in the chart at the identity:
+the group action ``g . P = sqrt(g P^2 g^T)`` moves any base point to ``I``,
+and a tangent vector at ``P`` is its push-forward coordinates there (a
+symmetric, trace-free matrix for unit-determinant bases).  The base point is
+always passed separately.  In this chart the metric is the Frobenius inner
+product ``sum(V * W)``, ``exp_map(P, V) = sqrt(P expm(2V) P)``, and parallel
+transport from ``P1`` to ``P2`` is conjugation by the orthogonal matrix
+``O = P2^-1 P1 sqrt(P1^-1 P2^2 P1^-1)``.
 
 All of these come from one matrix per pair, ``M = P1^-1 P2^2 P1^-1``
 (`pair_matrix`), and its eigendecomposition: the distance from its
@@ -27,8 +28,6 @@ consecutive pairs are decomposed in one call, once each.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 # Eigenvalues below this are treated as a violation of positive-definiteness.
@@ -37,8 +36,6 @@ EPS_PD = 1e-12
 UNIT_DET_TOL = 1e-8
 # |trace| tolerance for tangent coordinates at a unit-determinant base.
 TRACE_TOL = 1e-8
-# Tolerance used when matching tangent base points.
-_BASE_ATOL = 1e-10
 
 
 class NotPositiveDefiniteError(ValueError):
@@ -47,10 +44,6 @@ class NotPositiveDefiniteError(ValueError):
 
 class DimensionMismatchError(ValueError):
     """Operands have incompatible dimensions."""
-
-
-class BasePointMismatchError(ValueError):
-    """Tangent vectors anchored at different base points were combined."""
 
 
 def _mT(M: np.ndarray) -> np.ndarray:
@@ -142,50 +135,16 @@ def normalize_det(P: np.ndarray) -> tuple[np.ndarray, float | np.ndarray]:
     return unit, float(channel) if channel.ndim == 0 else channel
 
 
-@dataclass(frozen=True)
-class Tangent:
-    """Tangent vector at ``base``, stored in identity-chart coordinates.
+def _check_coords(base: np.ndarray, V) -> np.ndarray:
+    """Tangent coordinates at ``base``: square, of its shape, symmetric to 1e-9.
 
-    ``coords`` is symmetric; for a unit-determinant base it is trace-free.
+    Returns them exactly symmetrized.
     """
-
-    base: np.ndarray
-    coords: np.ndarray
-
-    def __post_init__(self):
-        base = check_square(np.asarray(self.base, dtype=float), "base")
-        coords = check_square(np.asarray(self.coords, dtype=float), "coords")
-        check_same_dim(base, coords)
-        if not np.allclose(coords, coords.T, atol=1e-9):
-            raise ValueError("tangent coordinates must be symmetric")
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "coords", symmetrize(coords))
-
-    @property
-    def dim(self) -> int:
-        return self.base.shape[0]
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.coords))
-
-
-def _check_same_base(V: Tangent, W: Tangent) -> None:
-    if V.base.shape != W.base.shape or not np.allclose(
-        V.base, W.base, atol=_BASE_ATOL
-    ):
-        raise BasePointMismatchError(
-            "tangent vectors are anchored at different base points"
-        )
-
-
-def inner(base: np.ndarray, V: Tangent, W: Tangent) -> float:
-    """Riemannian inner product of two tangent vectors at a common base."""
-    base = check_square(base, "base")
-    for X in (V, W):
-        if X.base.shape != base.shape or not np.allclose(X.base, base, atol=_BASE_ATOL):
-            raise BasePointMismatchError("tangent vector is not anchored at `base`")
-    _check_same_base(V, W)
-    return float(np.sum(V.coords * W.coords))
+    V = check_square(V, "coords")
+    check_same_dim(base, V)
+    if not np.allclose(V, _mT(V), atol=1e-9):
+        raise ValueError("tangent coordinates must be symmetric")
+    return symmetrize(V)
 
 
 def _require_tracefree(coords: np.ndarray) -> None:
@@ -197,23 +156,15 @@ def _require_tracefree(coords: np.ndarray) -> None:
         )
 
 
-def exp_map(base: np.ndarray, V) -> np.ndarray:
+def exp_map(base: np.ndarray, V: np.ndarray) -> np.ndarray:
     """Riemannian exponential: the geodesic from ``base`` with velocity ``V``, at t=1.
 
-    ``V`` may be a `Tangent` (its base must match) or a raw symmetric
-    coordinate matrix in the identity chart.
+    ``V`` holds symmetric, trace-free identity-chart coordinates.
     """
     base = check_square(base, "base")
-    if isinstance(V, Tangent):
-        if not np.allclose(V.base, base, atol=_BASE_ATOL):
-            raise BasePointMismatchError("tangent vector is not anchored at `base`")
-        coords = V.coords
-    else:
-        coords = symmetrize(check_square(np.asarray(V, dtype=float), "coords"))
-    check_same_dim(base, coords)
-    _require_tracefree(coords)
-    inner_exp = sym_exp(2.0 * coords)
-    return sym_sqrt(symmetrize(base @ inner_exp @ base))
+    V = _check_coords(base, V)
+    _require_tracefree(V)
+    return sym_sqrt(symmetrize(base @ sym_exp(2.0 * V) @ base))
 
 
 def pair_matrix(P1: np.ndarray, P2: np.ndarray) -> np.ndarray:
@@ -268,14 +219,14 @@ def geodesic_points(
     return _spectral(U, np.sqrt(w))
 
 
-def log_map(P1: np.ndarray, P2: np.ndarray) -> Tangent:
-    """Inverse exponential: tangent at ``P1`` pointing to ``P2``."""
+def log_map(P1: np.ndarray, P2: np.ndarray) -> np.ndarray:
+    """Inverse exponential: coordinates of the tangent at ``P1`` pointing to ``P2``."""
     P1 = check_square(P1, "P1")
     P2 = check_square(P2, "P2")
     check_same_dim(P1, P2)
     _eigh_pd(P2)  # M is positive definite for any nonsingular P2
     w, U = _eigh_pd(pair_matrix(P1, P2))
-    return Tangent(base=P1, coords=_spectral(U, 0.5 * np.log(w)))
+    return _spectral(U, 0.5 * np.log(w))
 
 
 def dist_unitdet(P1: np.ndarray, P2: np.ndarray) -> float:
@@ -354,12 +305,8 @@ def transport_rotation(P1: np.ndarray, P2: np.ndarray) -> np.ndarray:
     return log_map_and_rotation(P1, P2)[1]
 
 
-def parallel_transport(V: Tangent, P1: np.ndarray, P2: np.ndarray) -> Tangent:
-    """Parallel transport of ``V`` along the geodesic from P1 to P2."""
-    P1 = check_square(P1, "P1")
-    if not np.allclose(V.base, P1, atol=_BASE_ATOL):
-        raise BasePointMismatchError("V is not anchored at P1")
-    P2 = check_square(P2, "P2")
-    check_same_dim(P1, P2)
+def parallel_transport(V: np.ndarray, P1: np.ndarray, P2: np.ndarray) -> np.ndarray:
+    """Parallel transport of coordinates ``V`` at P1 along the geodesic to P2."""
+    V = _check_coords(check_square(P1, "P1"), V)
     O = transport_rotation(P1, P2)
-    return Tangent(base=P2, coords=symmetrize(O @ V.coords @ O.T))
+    return symmetrize(O @ V @ O.T)

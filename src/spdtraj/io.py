@@ -196,13 +196,19 @@ def save_timeseries_csv(path, ts: MultivariateTimeSeries, header: list[str] | No
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+def _is_number(cell: str) -> bool:
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return True
+
+
 def load_timeseries_csv(path) -> MultivariateTimeSeries:
+    """One sample per row; the first line is a header only if no cell of it is a number."""
     lines = _lines(path)
-    if lines:
-        try:
-            _cells(path, *lines[0])
-        except FormatError:
-            lines = lines[1:]  # header row
+    if lines and not any(_is_number(c) for c in lines[0][1].split(",")):
+        lines = lines[1:]
     if not lines:
         raise FormatError(f"{path}: empty time-series file")
     width = lines[0][1].count(",") + 1

@@ -120,25 +120,22 @@ def build_pairs(
 def objective(B: StiefelBasis | np.ndarray, pairs: PairTensor) -> float:
     """sum_ij tr( (B^T P_ij B)^2 ); always nonnegative."""
     Bm = B.matrix if isinstance(B, StiefelBasis) else np.asarray(B, dtype=float)
-    _, obj = _objective_core(Bm, pairs.matrices, with_grad=False)
-    return obj
+    return _objective_core(Bm, pairs.matrices)[1]
 
 
 def euclidean_gradient(B: StiefelBasis | np.ndarray, pairs: PairTensor) -> np.ndarray:
     """Ambient gradient 4 * sum_ij P_ij B (B^T P_ij B)."""
     Bm = B.matrix if isinstance(B, StiefelBasis) else np.asarray(B, dtype=float)
-    G, _ = _objective_core(Bm, pairs.matrices, with_grad=True)
-    return G
+    return _objective_core(Bm, pairs.matrices)[0]
 
 
-def _objective_core(B: np.ndarray, P: np.ndarray, with_grad: bool):
+def _objective_core(B: np.ndarray, P: np.ndarray) -> tuple[np.ndarray, float]:
+    """The ambient gradient and the objective at B, from one ``P_ij B`` stack."""
     K, n, _ = P.shape
     d = B.shape[1]
     PB = (P.reshape(K * n, n) @ B).reshape(K, n, d)
     M = np.matmul(PB.transpose(0, 2, 1), B)  # B^T P_ij B per pair
     obj = float(np.sum(M * M.transpose(0, 2, 1)))
-    if not with_grad:
-        return None, obj
     G = 4.0 * np.matmul(PB, M).sum(axis=0)
     return G, obj
 
@@ -206,7 +203,7 @@ def fit(
 def _ascend(B0: np.ndarray, pairs: PairTensor, max_iters: int, tol: float):
     P = pairs.matrices
     B = _retract(np.asarray(B0, dtype=float))
-    G, obj = _objective_core(B, P, with_grad=True)
+    G, obj = _objective_core(B, P)
     trace = [obj]
     n, d = B.shape
     step = 1e-3 / max(1.0, np.linalg.norm(G) / np.sqrt(n * d))
@@ -222,29 +219,28 @@ def _ascend(B0: np.ndarray, pairs: PairTensor, max_iters: int, tol: float):
         accepted = False
         for _ in range(40):
             B_new = _retract(B + step * xi)
-            _, obj_new = _objective_core(B_new, P, with_grad=False)
+            G_new, obj_new = _objective_core(B_new, P)
             if obj_new > obj + 1e-4 * step * gn * gn:
                 accepted = True
                 break
             step *= 0.5
         if not accepted:
             break
-        B, obj = B_new, obj_new
-        G, _ = _objective_core(B, P, with_grad=True)
+        B, G, obj = B_new, G_new, obj_new
         trace.append(obj)
         step *= 1.5
     return B, trace, converged, gn, it
 
 
-def project(P: np.ndarray, B: StiefelBasis) -> tuple[np.ndarray, float]:
-    """Compress P to d x d: Q = B^T P B, renormalized to unit determinant.
+def project(P: np.ndarray, B: StiefelBasis) -> tuple[np.ndarray, float | np.ndarray]:
+    """Compress P (or a stack) to d x d: Q = B^T P B, renormalized to unit determinant.
 
-    Returns the unit-determinant reduced matrix and its log-det channel
+    Returns the unit-determinant reduced matrices and their log-det channels
     (B^T P B of a unit-determinant matrix need not have determinant one).
     """
     P = np.asarray(P, dtype=float)
-    if P.shape[0] != B.n:
-        raise DimensionMismatchError(f"matrix dim {P.shape[0]} != basis n {B.n}")
+    if P.shape[-1] != B.n:
+        raise DimensionMismatchError(f"matrix dim {P.shape[-1]} != basis n {B.n}")
     Q = symmetrize(B.matrix.T @ P @ B.matrix)
     return normalize_det(Q)
 
@@ -297,11 +293,6 @@ def reduce_trajectory(
     output lives on the unit-determinant manifold in dimension d.
     """
     basis = model.basis if isinstance(model, ReductionModel) else model
-    if traj.dim != basis.n:
-        raise DimensionMismatchError(
-            f"trajectory dim {traj.dim} != basis n {basis.n}"
-        )
     unit, _ = normalize_det(traj.matrices)
-    B = basis.matrix
-    mats, _ = normalize_det(symmetrize(B.T @ unit @ B))
+    mats, _ = project(unit, basis)
     return CovarianceTrajectory(matrices=mats, times=traj.times.copy())

@@ -111,7 +111,8 @@ def test_distance_dq_report_dc_column_matches_dc_run(tmp_path, twoclass_dir):
         assert d_c == dc_cells[ids.index(id1)][ids.index(id2)]
 
 
-def test_distance_mixed_dims_exit_2(tmp_path, twoclass_dir):
+def test_distance_mixed_dims_exit_2(tmp_path, twoclass_dir, capsys):
+    # classify loads its collection through the same helper, so it agrees
     other = tmp_path / "other"
     assert (
         run(
@@ -122,8 +123,14 @@ def test_distance_mixed_dims_exit_2(tmp_path, twoclass_dir):
     )
     a = sorted(twoclass_dir.glob("traj*.spdt"))[0]
     b = sorted(other.glob("traj*.spdt"))[0]
-    code = run(["distance", str(a), str(b), "--out", str(tmp_path / "d.csv")])
-    assert code == 2
+    labels = ["--labels", str(twoclass_dir / "labels.csv")]
+    for command in (["distance"], ["classify", *labels]):
+        capsys.readouterr()
+        code = run([*command, str(a), str(b), "--out", str(tmp_path / "d.csv")])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "configuration error: inputs have mixed dimensions [3, 4] and no --basis given"
+        ]
 
 
 def test_distance_point_and_trajectory_match_constant_copy(tmp_path, rng):
@@ -265,6 +272,43 @@ def test_classify_from_precomputed_distances(tmp_path, twoclass_dir):
          "--out", str(out)]
     )
     assert code == 0
+
+
+# ---------------------------------------------------------------------------
+# distance and classify load their collections alike
+
+
+@pytest.mark.parametrize("command", ["distance", "classify"])
+def test_basis_is_a_manifest_input(tmp_path, twoclass_dir, command):
+    inputs = [str(p) for p in sorted(twoclass_dir.glob("traj*.spdt"))]
+    basis = tmp_path / "b.stfb"
+    assert run(["reduce", *inputs, "--d", "2", "--max-iters", "5", "--out", str(basis)]) == 0
+    extra = ["--labels", str(twoclass_dir / "labels.csv"), "--folds", "4"]
+    extra = extra if command == "classify" else []
+    out = tmp_path / "out.csv"
+    assert run(
+        [command, *inputs, *extra, "--basis", str(basis), "--grid", "20", "--out", str(out)]
+    ) == 0
+    man = io.load_manifest(out.with_suffix(".manifest.json"))
+    assert {"path": str(basis), "sha256": io.sha256_file(basis)} in man["inputs"]
+
+
+def test_basis_of_another_dimension_exit_2(tmp_path, twoclass_dir, capsys):
+    inputs = [str(p) for p in sorted(twoclass_dir.glob("traj*.spdt"))]
+    other = tmp_path / "other"
+    assert run(
+        ["simulate", "twoclass", "--n-per-class", "1", "--n", "4", "--T", "8",
+         "--seed", "2", "--out-dir", str(other)]
+    ) == 0
+    basis = tmp_path / "b.stfb"
+    four = [str(p) for p in sorted(other.glob("traj*.spdt"))]
+    assert run(["reduce", *four, "--d", "2", "--max-iters", "5", "--out", str(basis)]) == 0
+    capsys.readouterr()
+    code = run(["distance", *inputs, "--basis", str(basis), "--out", str(tmp_path / "d.csv")])
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "configuration error: inputs have dimensions [3]; the basis takes 4"
+    ]
 
 
 # ---------------------------------------------------------------------------

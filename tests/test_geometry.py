@@ -5,15 +5,12 @@ from hypothesis import strategies as hs
 
 from conftest import random_sym, random_tracefree, random_unitdet
 from spdtraj.geometry import (
-    BasePointMismatchError,
     DimensionMismatchError,
     NotPositiveDefiniteError,
-    Tangent,
     dist_full,
     dist_unitdet,
     exp_map,
     geodesic,
-    inner,
     log_det,
     log_euclidean_dist,
     log_map,
@@ -196,31 +193,11 @@ def test_metric_axioms_property(seed):
 # tangent vectors, exp/log, geodesics
 
 
-def test_inner_at_identity():
-    V = Tangent(base=np.eye(2), coords=np.diag([1.0, -1.0]))
-    assert inner(np.eye(2), V, V) == pytest.approx(2.0, rel=1e-14)
-
-
-def test_inner_symmetry(rng):
-    base = random_unitdet(rng, 4)
-    V = Tangent(base=base, coords=random_tracefree(rng, 4))
-    W = Tangent(base=base, coords=random_tracefree(rng, 4))
-    assert inner(base, V, W) == inner(base, W, V)
-
-
-def test_inner_rejects_mismatched_base(rng):
-    P1, P2 = random_unitdet(rng, 3), random_unitdet(rng, 3)
-    V = Tangent(base=P1, coords=random_tracefree(rng, 3))
-    W = Tangent(base=P2, coords=random_tracefree(rng, 3))
-    with pytest.raises(BasePointMismatchError):
-        inner(P1, V, W)
-
-
 def test_metric_compatibility(rng):
     # the log map's norm reproduces the distance
     P1, P2 = random_unitdet(rng, 5), random_unitdet(rng, 5)
     V = log_map(P1, P2)
-    assert np.sqrt(inner(P1, V, V)) == pytest.approx(dist_unitdet(P1, P2), abs=1e-8)
+    assert np.sqrt(np.sum(V * V)) == pytest.approx(dist_unitdet(P1, P2), abs=1e-8)
 
 
 def test_exp_map_zero_vector():
@@ -229,7 +206,7 @@ def test_exp_map_zero_vector():
 
 def test_log_map_self_is_zero(rng):
     P = random_unitdet(rng, 4)
-    assert log_map(P, P).norm() < 1e-10
+    assert np.linalg.norm(log_map(P, P)) < 1e-10
 
 
 def test_exp_log_round_trip(rng):
@@ -293,26 +270,25 @@ def test_geodesic_stays_unit_det(rng):
 
 def test_transport_same_point_is_identity(rng):
     P = random_unitdet(rng, 4)
-    V = Tangent(base=P, coords=random_tracefree(rng, 4))
+    V = random_tracefree(rng, 4)
     W = parallel_transport(V, P, P)
-    np.testing.assert_allclose(W.coords, V.coords, atol=1e-10)
+    np.testing.assert_allclose(W, V, atol=1e-10)
 
 
 def test_transport_preserves_norm_and_inner(rng):
     for _ in range(5):
         P1, P2 = random_unitdet(rng, 4), random_unitdet(rng, 4)
-        V = Tangent(base=P1, coords=random_tracefree(rng, 4))
-        W = Tangent(base=P1, coords=random_tracefree(rng, 4))
+        V, W = random_tracefree(rng, 4), random_tracefree(rng, 4)
         Vt = parallel_transport(V, P1, P2)
         Wt = parallel_transport(W, P1, P2)
-        assert Vt.norm() == pytest.approx(V.norm(), abs=1e-8)
-        assert inner(P2, Vt, Wt) == pytest.approx(inner(P1, V, W), abs=1e-8)
+        assert np.linalg.norm(Vt) == pytest.approx(np.linalg.norm(V), abs=1e-8)
+        assert np.sum(Vt * Wt) == pytest.approx(np.sum(V * W), abs=1e-8)
 
 
 def test_transport_keeps_tracefree(rng):
     P1, P2 = random_unitdet(rng, 5), random_unitdet(rng, 5)
-    V = Tangent(base=P1, coords=random_tracefree(rng, 5))
-    assert abs(np.trace(parallel_transport(V, P1, P2).coords)) < 1e-8
+    V = random_tracefree(rng, 5)
+    assert abs(np.trace(parallel_transport(V, P1, P2))) < 1e-8
 
 
 def test_geodesic_velocity_transports_onto_itself(rng):
@@ -320,19 +296,19 @@ def test_geodesic_velocity_transports_onto_itself(rng):
     V12 = log_map(P1, P2)
     V21 = log_map(P2, P1)
     moved = parallel_transport(V12, P1, P2)
-    np.testing.assert_allclose(moved.coords, -V21.coords, atol=1e-8)
+    np.testing.assert_allclose(moved, -V21, atol=1e-8)
 
 
-def _schild_ladder(V: Tangent, P1, P2, rungs, eps):
+def _schild_ladder(V: np.ndarray, P1, P2, rungs, eps):
     """Numerical transport oracle built only from exp/log/geodesic."""
     X = P1
-    coords = eps * V.coords
+    coords = eps * V
     for k in range(rungs):
         X_next = geodesic(P1, P2, (k + 1) / rungs)
         Y = exp_map(X, coords)
         mid = geodesic(Y, X_next, 0.5)
-        Z = exp_map(X, 2.0 * log_map(X, mid).coords)
-        coords = log_map(X_next, Z).coords
+        Z = exp_map(X, 2.0 * log_map(X, mid))
+        coords = log_map(X_next, Z)
         X = X_next
     return coords / eps
 
@@ -340,15 +316,15 @@ def _schild_ladder(V: Tangent, P1, P2, rungs, eps):
 def test_transport_matches_schilds_ladder(rng):
     P1 = random_unitdet(rng, 4, spread=0.4)
     P2 = random_unitdet(rng, 4, spread=0.4)
-    V = Tangent(base=P1, coords=random_tracefree(rng, 4, scale=0.5))
+    V = random_tracefree(rng, 4, scale=0.5)
     ladder = _schild_ladder(V, P1, P2, rungs=1000, eps=1e-4)
-    closed = parallel_transport(V, P1, P2).coords
+    closed = parallel_transport(V, P1, P2)
     assert np.linalg.norm(ladder - closed) < 1e-3
 
 
 def test_transport_dimension_mismatch(rng):
     P1 = random_unitdet(rng, 3)
-    V = Tangent(base=P1, coords=random_tracefree(rng, 3))
+    V = random_tracefree(rng, 3)
     with pytest.raises(DimensionMismatchError):
         parallel_transport(V, P1, np.eye(4))
 
@@ -358,8 +334,13 @@ def test_transport_dimension_mismatch(rng):
 
 
 def test_tangent_requires_symmetric_coords(rng):
+    P1, P2 = random_unitdet(rng, 3), random_unitdet(rng, 3)
+    V = random_tracefree(rng, 3)
+    V[0, 1] += 1e-3  # still trace-free, no longer symmetric
     with pytest.raises(ValueError, match="symmetric"):
-        Tangent(base=np.eye(3), coords=rng.normal(size=(3, 3)))
+        exp_map(P1, V)
+    with pytest.raises(ValueError, match="symmetric"):
+        parallel_transport(V, P1, P2)
 
 
 def test_symmetrize_exact():

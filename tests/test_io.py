@@ -123,6 +123,17 @@ def test_timeseries_csv_headerless(tmp_path, rng):
     np.testing.assert_array_equal(io.load_timeseries_csv(path).values, ts.values)
 
 
+def test_timeseries_csv_skips_header_without_numbers(tmp_path):
+    path = tmp_path / "ts.csv"
+    path.write_text("a,b\n1.0,2.0\n3.0,4.0\n")
+    np.testing.assert_array_equal(
+        io.load_timeseries_csv(path).values, [[1.0, 2.0], [3.0, 4.0]]
+    )
+    path.write_text("a,b\n")
+    with pytest.raises(io.FormatError, match="empty time-series file"):
+        io.load_timeseries_csv(path)
+
+
 def test_warp_csv_roundtrip(tmp_path):
     w = random_warp(12, 0.4, seed=3)
     path = tmp_path / "w.csv"
@@ -158,6 +169,7 @@ def test_labels_csv_roundtrip(tmp_path):
         (io.load_matrix_csv, "n=2\n1.0,0.0\n\n0.0\n", 4, "expected 2 cells, found 1"),
         (io.load_timeseries_csv, "a,b\n1.0,2.0\n3.0,inf\n", 3, "cell 'inf' is not finite"),
         (io.load_timeseries_csv, "1.0,2.0\n3.0\n", 2, "expected 2 cells, found 1"),
+        (io.load_timeseries_csv, "1.0,x\n2.0,3.0\n4.0,5.0\n", 1, "cell 'x' is not a number"),
         (io.load_warp_csv, "t,gamma\n0.0,0.0\n0.5,?\n1.0,1.0\n", 3, "cell '?' is not a number"),
         (io.load_distance_csv, "a,b\n0.0,1.0\n1.0,0.0,2.0\n", 3, "expected 2 cells, found 3"),
         (io.load_labels_csv, "id,label\na,0\nb\n", 3, "expected 2 cells, found 1"),

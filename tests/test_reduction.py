@@ -3,7 +3,13 @@ import pytest
 
 from conftest import random_tracefree, random_unitdet
 from spdtraj.estimation import CovarianceTrajectory
-from spdtraj.geometry import dist_unitdet, sym_exp, sym_log, symmetrize
+from spdtraj.geometry import (
+    DimensionMismatchError,
+    dist_unitdet,
+    sym_exp,
+    sym_log,
+    symmetrize,
+)
 from spdtraj.reduction import (
     PairTensor,
     StiefelBasis,
@@ -202,6 +208,24 @@ def test_fit_objective_trace_nondecreasing(rng):
     assert np.all(np.diff(trace) >= -1e-9)
 
 
+def test_fit_evaluates_each_point_once(rng, monkeypatch):
+    # an accepted trial's gradient is kept, so no basis is evaluated twice
+    from spdtraj import reduction
+
+    seen = []
+    core = reduction._objective_core
+
+    def recording_core(B, *args, **kwargs):
+        seen.append(B.tobytes())
+        return core(B, *args, **kwargs)
+
+    monkeypatch.setattr(reduction, "_objective_core", recording_core)
+    mats = [random_unitdet(rng, 6, spread=0.5) for _ in range(5)]
+    model = fit(mats, 2, seed=1, max_iters=15)
+    assert model.iterations > 1
+    assert len(seen) == len(set(seen))
+
+
 def test_fit_dominates_random_bases(rng):
     mats = [random_unitdet(rng, 5, spread=0.7) for _ in range(2)]
     model = fit(mats, 1, seed=0)
@@ -385,7 +409,7 @@ def test_reduce_trajectory_block_preserves_distances(rng):
 def test_reduce_trajectory_dimension_mismatch(rng):
     traj = CovarianceTrajectory(matrices=np.repeat(np.eye(4)[None], 3, axis=0))
     B = random_basis(rng, 6, 2)
-    with pytest.raises(Exception):
+    with pytest.raises(DimensionMismatchError):
         reduce_trajectory(traj, B)
 
 
