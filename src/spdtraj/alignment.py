@@ -31,7 +31,12 @@ Aligning a to b and b to a is one problem seen from two sides, so an
 unordered pair gets one warp search: it puts the pair in a canonical order,
 builds one transport and one Gram table, and scores every candidate warp
 and its inverse in both directions.  Swapping the pair swaps the results
-bit for bit.
+bit for bit.  The searches run in blocks of pairs whose Gram tables share
+one stack: the lattice DPs of a block advance row by row together, its
+refinements are lanes whose trial warps are scored by one stacked cost
+evaluation per round, and so are its candidates.  Every row of a stacked
+evaluation is computed exactly as it would be alone, so a pair's results
+do not depend on its block.
 
 Trajectories are determinant-normalized before comparison.  The scalar
 log-det track can optionally be carried along as an extra flat channel with
@@ -40,6 +45,7 @@ weight ``w_det``.
 from __future__ import annotations
 
 import logging
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,6 +81,9 @@ _PRESMOOTH_WIDTH = 2.0
 # A refinement step is accepted when it lowers the cost below the largest of
 # this many recent costs (nonmonotone line search).
 _REFINE_MEMORY = 3
+# A warp-search block takes as many pairs as fit their Gram tables in this
+# many bytes (16 pairs on a 100-point grid), and at least one.
+_BLOCK_GRAM_BYTES = 1_300_000
 
 
 @dataclass(frozen=True)
@@ -341,131 +350,166 @@ def _point_features(
 
 @dataclass(frozen=True)
 class _PairGrams:
-    """Inner-product tables between two TSRVF sample sets on a common grid.
+    """Inner-product tables between the TSRVF sample sets of a block of pairs.
 
     Every alignment cost is bilinear in linearly interpolated q2 samples, so
     the DP and the refinement only ever need these tables, never the feature
-    vectors themselves.  The mirrored problem (roles of the trajectories
-    swapped) uses the transposed table: transport is isometric, so
-    ``<q2 moved to base1, q1> == <q2, q1 moved to base2>`` exactly.
+    vectors themselves.  Pair ``p`` gives two directed tables: table ``p``
+    aligns q2 to q1, and table ``P + p`` is the mirrored problem (roles of
+    the trajectories swapped), which reads ``G[p]`` transposed: transport is
+    isometric, so ``<q2 moved to base1, q1> == <q2, q1 moved to base2>``
+    exactly.
     """
 
-    N1: np.ndarray  # (T,)   ||q1||(t_i)||^2
-    N2: np.ndarray  # (T,)   ||q2(s_j)||^2
-    G: np.ndarray  # (T,T)  <q1||(t_i), q2(s_j)>
-    C1: np.ndarray  # (T-1,) <q1||_k, q1||_{k+1}>
-    C2: np.ndarray  # (T-1,) <q2_k, q2_{k+1}>
+    N1: np.ndarray  # (P, T)    ||q1||(t_i)||^2
+    N2: np.ndarray  # (P, T)    ||q2(s_j)||^2
+    G: np.ndarray  # (P, T, T) <q1||(t_i), q2(s_j)>
+    C1: np.ndarray  # (P, T-1)  <q1||_k, q1||_{k+1}>
+    C2: np.ndarray  # (P, T-1)  <q2_k, q2_{k+1}>
 
-    def reverse(self) -> "_PairGrams":
-        return _PairGrams(N1=self.N2, N2=self.N1, G=self.G.T, C1=self.C2, C2=self.C1)
+    @classmethod
+    def empty(cls, P: int, T: int) -> "_PairGrams":
+        return cls(*(np.empty(s) for s in ((P, T), (P, T), (P, T, T), (P, T - 1), (P, T - 1))))
+
+    def fill(self, p: int, q1p: np.ndarray, q2: np.ndarray) -> None:
+        """Tables of pair ``p`` from q1 carried to q2's start point, and q2."""
+        self.N1[p] = (q1p**2).sum(axis=1)
+        self.N2[p] = (q2**2).sum(axis=1)
+        np.matmul(q1p, q2.T, out=self.G[p])
+        self.C1[p] = (q1p[:-1] * q1p[1:]).sum(axis=1)
+        self.C2[p] = (q2[:-1] * q2[1:]).sum(axis=1)
+
+    def directed(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``N1``, ``N2`` and ``C2`` of the 2P directed tables."""
+        return (
+            np.concatenate([self.N1, self.N2]),
+            np.concatenate([self.N2, self.N1]),
+            np.concatenate([self.C2, self.C1]),
+        )
+
+    def rows(self, i: int) -> np.ndarray:
+        """Row ``i`` of every directed table: ``G[p, i, :]``, then ``G[p, :, i]``."""
+        return np.concatenate([self.G[:, i], self.G[:, :, i]])
 
 
-def _pair_grams(q1p: np.ndarray, q2: np.ndarray) -> _PairGrams:
-    return _PairGrams(
-        N1=(q1p**2).sum(axis=1),
-        N2=(q2**2).sum(axis=1),
-        G=q1p @ q2.T,
-        C1=(q1p[:-1] * q1p[1:]).sum(axis=1),
-        C2=(q2[:-1] * q2[1:]).sum(axis=1),
-    )
-
-
-def _dp_lattice(gr: _PairGrams, dt: float):
-    """Minimize the warp cost over monotone lattice paths; returns knot indices.
+def _dp_lattice(gr: _PairGrams, dt: float) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Minimize the warp cost over monotone lattice paths; knot indices per directed table.
 
     Edge costs integrate ``||q1(t) - sqrt(m) q2(gamma(t))||^2`` with the
     segment's constant slope m, by the trapezoid rule on the native grid
-    (the (2,1) move needs the midpoint of adjacent q2 samples).
+    (the (2,1) move needs the midpoint of adjacent q2 samples).  All tables
+    of the block advance one row at a time; a row's edge costs are formed
+    from the rows of G it reads, and the DP keeps its last two rows.
     """
-    N1, N2, G = gr.N1, gr.N2, gr.G
-    T = N1.shape[0]
-    A2 = np.zeros(T)
-    A2[1:] = gr.C2
-
+    N1, N2, C2 = gr.directed()
+    K, T = N1.shape
     inf = np.inf
     s2 = np.sqrt(2.0)
-    g1 = N1[:, None] - 2.0 * G + N2[None, :]
-    g2 = N1[:, None] - 2.0 * s2 * G + 2.0 * N2[None, :]
-    gh = N1[:, None] - s2 * G + 0.5 * N2[None, :]
-    N2mid = np.zeros(T)
-    N2mid[1:] = 0.25 * (N2[:-1] + 2.0 * A2[1:] + N2[1:])
-    Gmid = np.zeros((T, T))
-    Gmid[:, 1:] = 0.5 * (G[:, :-1] + G[:, 1:])
-    ghmid = N1[:, None] - s2 * Gmid + 0.5 * N2mid[None, :]
+    N2mid = np.zeros((K, T))
+    N2mid[:, 1:] = 0.25 * (N2[:, :-1] + 2.0 * C2 + N2[:, 1:])
 
-    c11 = np.full((T, T), inf)
-    c12 = np.full((T, T), inf)
-    c21 = np.full((T, T), inf)
-    c11[1:, 1:] = dt / 2.0 * (g1[:-1, :-1] + g1[1:, 1:])
-    c12[1:, 2:] = dt / 2.0 * (g2[:-1, :-2] + g2[1:, 2:])
-    c21[2:, 1:] = dt * (0.5 * gh[:-2, :-1] + ghmid[1:-1, 1:] + 0.5 * gh[2:, 1:])
+    def terms(i):
+        # row i of g1, g2, gh and ghmid: the squared gaps of moves ending there
+        Gi = gr.rows(i)
+        Gmid = np.zeros((K, T))
+        Gmid[:, 1:] = 0.5 * (Gi[:, :-1] + Gi[:, 1:])
+        a = N1[:, i, None]
+        return (
+            a - 2.0 * Gi + N2,
+            a - 2.0 * s2 * Gi + 2.0 * N2,
+            a - s2 * Gi + 0.5 * N2,
+            a - s2 * Gmid + 0.5 * N2mid,
+        )
 
-    D = np.full((T, T), inf)
-    D[0, 0] = 0.0
-    move = np.zeros((T, T), dtype=np.int8)
-    cols = np.arange(T)
+    D1 = np.full((K, T), inf)  # row i-1 of the DP
+    D1[:, 0] = 0.0
+    D2 = D1  # row i-2
+    move = np.zeros((K, T, T), dtype=np.int8)
+    prev2 = prev = terms(0)
     for i in range(1, T):
-        cand = np.full((3, T), inf)
-        cand[0, 1:] = D[i - 1, :-1] + c11[i, 1:]
-        cand[1, 2:] = D[i - 1, :-2] + c12[i, 2:]
+        cur = terms(i)
+        cand = np.full((3, K, T), inf)
+        cand[0, :, 1:] = D1[:, :-1] + dt / 2.0 * (prev[0][:, :-1] + cur[0][:, 1:])
+        cand[1, :, 2:] = D1[:, :-2] + dt / 2.0 * (prev[1][:, :-2] + cur[1][:, 2:])
         if i >= 2:
-            cand[2, 1:] = D[i - 2, :-1] + c21[i, 1:]
-        move[i] = np.argmin(cand, axis=0)
-        D[i] = cand[move[i], cols]
+            cand[2, :, 1:] = D2[:, :-1] + dt * (
+                0.5 * prev2[2][:, :-1] + prev[3][:, 1:] + 0.5 * cur[2][:, 1:]
+            )
+        move[:, i] = np.argmin(cand, axis=0)
+        D2, D1 = D1, np.take_along_axis(cand, move[None, :, i], axis=0)[0]
+        prev2, prev = prev, cur
 
-    i = j = T - 1
-    pi, pj = [i], [j]
-    while (i, j) != (0, 0):
-        di, dj = _DP_MOVES[move[i, j]]
-        i -= di
-        j -= dj
-        pi.append(i)
-        pj.append(j)
-    return np.array(pi[::-1]), np.array(pj[::-1])
+    paths = []
+    for mv in move:
+        i = j = T - 1
+        pi, pj = [i], [j]
+        while (i, j) != (0, 0):
+            di, dj = _DP_MOVES[mv[i, j]]
+            i -= di
+            j -= dj
+            pi.append(i)
+            pj.append(j)
+        paths.append((np.array(pi[::-1]), np.array(pj[::-1])))
+    return paths
 
 
 def _cost_evaluator(gr: _PairGrams):
-    """Canonical discrete warp cost and its gradient, as a function of increments.
+    """Canonical discrete warp cost and its gradient, for a stack of increment vectors.
 
-    Returns ``fg(u) -> (cost, d cost / d u)`` for a strictly increasing warp
-    with increments ``u = diff(gamma)``.  Each interval contributes
+    Returns ``fg(U, tables) -> (costs, d cost / d U)``: row ``l`` of ``U``
+    holds the increments ``u = diff(gamma)`` of a strictly increasing warp,
+    scored on directed table ``tables[l]``.  Each interval contributes
     ``dt/2 * sum_ends ||q1|| - sqrt(m) q2(gamma)||^2`` with its constant slope
     ``m``; ``<q1||(t_i), q2(gamma_i)>`` and ``||q2(gamma_i)||^2`` expand
     exactly in the interpolation weight of linearly interpolated q2, so an
-    evaluation is O(T) table lookups.
+    evaluation is O(T) table lookups per row, gathered straight from the
+    Gram stack (a mirrored table reads ``G[p, k, i]``).  Every row is
+    computed exactly as it would be alone.
     """
-    T = gr.N1.shape[0]
+    P, T = gr.N1.shape
     h = 0.5 / (T - 1)
-    G0 = gr.G[:, :-1].ravel()  # G[i, k]
-    dG = np.diff(gr.G, axis=1).ravel()  # G[i, k+1] - G[i, k]
-    rows = np.arange(T) * (T - 1)
-    N2l, N2r = gr.N2[:-1], gr.N2[1:]
+    N1, N2, C2 = gr.directed()
+    Gf = gr.G.ravel()
+    rows = np.arange(T)
+    N2l, N2r = N2[:, :-1], N2[:, 1:]
     # ||q2||^2 on cell k at weight w is B0 + w B1 + w^2 B2
-    B = np.stack([N2l, 2.0 * (gr.C2 - N2l), N2l - 2.0 * gr.C2 + N2r])
-    const = h * (gr.N1[:-1] + gr.N1[1:]).sum()
-    g = np.zeros(T)
+    Bf = np.stack([N2l, 2.0 * (C2 - N2l), N2l - 2.0 * C2 + N2r], axis=1).ravel()
+    const = h * (N1[:, :-1] + N1[:, 1:]).sum(axis=1)
 
-    def fg(u: np.ndarray) -> tuple[float, np.ndarray]:
-        np.cumsum(u, out=g[1:])
-        pos = g * (T - 1)
+    def fg(U: np.ndarray, tables: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # temporaries are dropped as soon as they are used: a block scores
+        # many rows at once
+        pos = np.zeros((U.shape[0], T))
+        np.cumsum(U, axis=1, out=pos[:, 1:])
+        pos *= T - 1
         k = np.minimum(pos.astype(np.intp), T - 2)
         w = pos - k
-        idx = rows + k
-        df = dG.take(idx)
-        f = G0.take(idx) + w * df
-        B0, B1, B2 = B[:, k]
-        b = B0 + w * (B1 + w * B2)
-        m = u * (T - 1)
-        sm = np.sqrt(m)
-        fs = f[:-1] + f[1:]
-        bs = b[:-1] + b[1:]
-        cost = const + h * (m @ bs - 2.0 * (sm @ fs))
-        # d cost / d gamma_j at knots 1..T-1, then through gamma = cumsum(u)
+        del pos
+        # G[p, i, k] of a table, or G[p, k, i] of its mirror, and the next cell
+        mirror = (tables >= P)[:, None]
+        step = np.where(mirror, T, 1)
+        at = (tables % P * T * T)[:, None] + np.where(mirror, rows, rows * T) + k * step
+        f = Gf.take(at)
+        df = Gf.take(at + step) - f
+        f += w * df
         fp = (T - 1) * df
+        del df
+        at = (tables * 3 * (T - 1))[:, None] + k
+        del k
+        B1, B2 = Bf.take(at + (T - 1)), Bf.take(at + 2 * (T - 1))
+        b = Bf.take(at) + w * (B1 + w * B2)
         bp = (T - 1) * (B1 + 2.0 * w * B2)
-        dg = h * (m * bp[1:] - 2.0 * sm * fp[1:])
-        dg[:-1] += h * (m[1:] * bp[1:-1] - 2.0 * sm[1:] * fp[1:-1])
-        return float(cost), 0.5 * (bs - fs / sm) + np.cumsum(dg[::-1])[::-1]
+        del at, B1, B2, w
+        m = U * (T - 1)
+        sm = np.sqrt(m)
+        fs = f[:, :-1] + f[:, 1:]
+        bs = b[:, :-1] + b[:, 1:]
+        del f, b
+        cost = const[tables] + h * (np.linalg.vecdot(m, bs) - 2.0 * np.linalg.vecdot(sm, fs))
+        # d cost / d gamma_j at knots 1..T-1, then through gamma = cumsum(u)
+        dg = h * (m * bp[:, 1:] - 2.0 * sm * fp[:, 1:])
+        dg[:, :-1] += h * (m[:, 1:] * bp[:, 1:-1] - 2.0 * sm[:, 1:] * fp[:, 1:-1])
+        return cost, 0.5 * (bs - fs / sm) + np.cumsum(dg[:, ::-1], axis=1)[:, ::-1]
 
     return fg
 
@@ -480,7 +524,7 @@ def _presmooth_warp(g: np.ndarray) -> np.ndarray:
     return gs / gs[-1]
 
 
-def _refine_warp(gr: _PairGrams, g_init: np.ndarray, maxiter: int = 400) -> np.ndarray:
+def _refine_warp(g_init: np.ndarray, maxiter: int = 400):
     """Local minimization of the canonical cost over warps in the slope window.
 
     Spectral projected gradient (Birgin, Martinez & Raydan, SIAM J. Optim.
@@ -492,16 +536,19 @@ def _refine_warp(gr: _PairGrams, g_init: np.ndarray, maxiter: int = 400) -> np.n
     costs; the best iterate is returned, so it never costs more than the
     projected seed.  It stops when the projected step predicts a decrease
     below ``_REFINE_RTOL`` times the cost, when backtracking finds no
-    decrease, or after ``maxiter`` iterations; the last case is logged as
-    non-converged.  Each evaluation is O(T) thanks to the Gram tables.
+    decrease, or after ``maxiter`` iterations (not converged).
+
+    A generator: it yields each trial increment vector and is sent back its
+    ``(cost, gradient)``, so that `_refine_lanes` can evaluate the trials of
+    many refinements together.  It returns ``(warp knots, best cost,
+    converged)``.
     """
-    T = gr.N1.shape[0]
-    dt = 1.0 / (T - 1)
-    fg = _cost_evaluator(gr)
+    dt = 1.0 / (g_init.shape[0] - 1)
     u = _project_slopes(np.diff(g_init), dt)
-    c, grad = fg(u)
+    c, grad = yield u
     best_u, best_c = u, c
-    recent = [c]
+    recent = deque([c], maxlen=_REFINE_MEMORY)
+    converged = True
     # the first step moves no increment by much more than a tenth of dt
     alpha = 0.1 * dt / max(float(np.abs(grad - grad.mean()).max()), 1e-300)
     for _ in range(maxiter):
@@ -509,11 +556,11 @@ def _refine_warp(gr: _PairGrams, g_init: np.ndarray, maxiter: int = 400) -> np.n
         deriv = float(grad @ d)  # directional derivative along d
         if -deriv <= _REFINE_RTOL * c:
             break
-        ref = max(recent[-_REFINE_MEMORY:])
+        ref = max(recent)
         lam = 1.0
         while lam >= 1e-10:
             u_new = u + lam * d
-            c_new, grad_new = fg(u_new)
+            c_new, grad_new = yield u_new
             if c_new <= ref + 1e-4 * lam * deriv:
                 break
             # safeguarded minimizer of the quadratic through c, deriv, c_new
@@ -529,14 +576,48 @@ def _refine_warp(gr: _PairGrams, g_init: np.ndarray, maxiter: int = 400) -> np.n
         if c < best_c:
             best_u, best_c = u, c
     else:
-        log.debug(
-            "warp refinement not converged after %d iterations (cost %.6g)",
-            maxiter,
-            best_c,
-        )
+        converged = False
     g = np.concatenate([[0.0], np.cumsum(best_u)])
     g[-1] = 1.0
-    return g
+    return g, best_c, converged
+
+
+def _refine_lanes(
+    gr: _PairGrams, tables: list[int], seeds: list[np.ndarray], maxiter: int = 400
+) -> tuple[list[np.ndarray], int]:
+    """Refine each seed on its directed table: the refined warps, and how many did not converge.
+
+    Each lane is one `_refine_warp`; every round evaluates the pending trials
+    of all live lanes in one stacked `_cost_evaluator` call.  A lane that
+    stops at ``maxiter`` is logged once, at DEBUG.
+    """
+    fg = _cost_evaluator(gr)
+    tables = np.asarray(tables, dtype=np.intp)
+    lanes = [_refine_warp(g0, maxiter) for g0 in seeds]
+    trials = [next(lane) for lane in lanes]
+    done = [None] * len(lanes)
+    live = list(range(len(lanes)))
+    while live:
+        costs, grads = fg(np.stack([trials[i] for i in live]), tables[live])
+        still = []
+        for i, c, grad in zip(live, costs.tolist(), grads):
+            try:
+                # a copy: a row view would keep the round's whole stack alive
+                trials[i] = lanes[i].send((c, grad.copy()))
+                still.append(i)
+            except StopIteration as stop:
+                done[i] = stop.value
+        live = still
+    nonconverged = 0
+    for _, best_c, converged in done:
+        if not converged:
+            nonconverged += 1
+            log.debug(
+                "warp refinement not converged after %d iterations (cost %.6g)",
+                maxiter,
+                best_c,
+            )
+    return [g for g, _, _ in done], nonconverged
 
 
 def _project_slopes(y: np.ndarray, dt: float) -> np.ndarray:
@@ -565,68 +646,90 @@ def _project_slopes(y: np.ndarray, dt: float) -> np.ndarray:
     return u
 
 
+def _pairs_per_block(T: int) -> int:
+    """How many pairs on a ``T``-point grid one `_dq_from_features` call takes."""
+    return max(1, _BLOCK_GRAM_BYTES // (8 * T * T))
+
+
 def _dq_from_features(
-    f1: _Features, f2: _Features
-) -> tuple[float, float, WarpingFunction, WarpingFunction, float]:
-    """The warp search of an unordered pair: ``(d_12, d_21, warp_12, warp_21, d_c)``.
+    pairs: list[tuple[_Features, _Features]],
+) -> tuple[list[tuple[float, float, WarpingFunction, WarpingFunction, float]], int]:
+    """The warp searches of a block of unordered pairs.
 
-    ``d_12`` aligns f2 to f1 and ``warp_12`` reparameterizes f2; ``d_21`` and
-    ``warp_21`` are the mirrored problem.  The pair is searched in canonical
-    order, so swapping the arguments swaps the outputs bit for bit.  ``d_c``
-    is the identity warp's cost, computed exactly as `_dc_from_features`
-    computes it, so ``d_q <= d_c`` holds in both directions.
+    Returns one ``(d_12, d_21, warp_12, warp_21, d_c)`` per pair, and the
+    number of refinements that did not converge.  ``d_12`` aligns f2 to f1
+    and ``warp_12`` reparameterizes f2; ``d_21`` and ``warp_21`` are the
+    mirrored problem.  Each pair is searched in canonical order, so swapping
+    its features swaps its outputs bit for bit, and a pair's outputs do not
+    depend on the other pairs of its block.  ``d_c`` is the identity warp's
+    cost, computed exactly as `_dc_from_features` computes it, so
+    ``d_q <= d_c`` holds in both directions.
 
-    One transport and one Gram table serve both directions: the mirrored
-    problem uses the transposed table, which is exact because transport is
-    isometric.  Each direction runs its lattice path and refines the
-    presmoothed seeds from its own path and from the other direction's
+    One transport and one Gram table serve both directions of a pair: the
+    mirrored problem reads the table transposed, which is exact because
+    transport is isometric.  Each direction runs its lattice path and refines
+    the presmoothed seeds from its own path and from the other direction's
     inverted path; every candidate of one direction is scored, inverted, in
-    the other as well, so the two candidate sets are mirror images.
+    the other as well, so the two candidate sets are mirror images.  The
+    lattice paths and the refinements of the whole block are computed
+    together; the candidates of one direction are scored in one call.
     """
-    swap = _swap_to_canonical(f1, f2)
-    if swap:
-        f1, f2 = f2, f1
-    q1p = _transport_features(f1, f2)
-    gr = _pair_grams(q1p, f2.q)
-    tables = (gr, gr.reverse())
-    T = q1p.shape[0]
+    P, T = len(pairs), pairs[0][0].q.shape[0]
     dt = 1.0 / (T - 1)
     ts = np.linspace(0.0, 1.0, T)
-    # identity cost in direct (per-sample nonnegative) form: exactly the
-    # unaligned integrand in both directions, so d_q <= d_c holds with no
-    # cancellation floor
-    identity_cost = float(np.trapezoid(((q1p - f2.q) ** 2).sum(axis=1), dx=dt))
-    gap_sq = _start_gap_sq(f1, f2)
-    dc = float(np.sqrt(gap_sq + identity_cost))
+    swaps = [_swap_to_canonical(f1, f2) for f1, f2 in pairs]
+    pairs = [(f2, f1) if swap else (f1, f2) for (f1, f2), swap in zip(pairs, swaps)]
+    gr = _PairGrams.empty(P, T)
+    identity_cost, gap_sq = [], []
+    for p, (f1, f2) in enumerate(pairs):
+        q1p = _transport_features(f1, f2)
+        gr.fill(p, q1p, f2.q)
+        # identity cost in direct (per-sample nonnegative) form: exactly the
+        # unaligned integrand in both directions, so d_q <= d_c holds with
+        # no cancellation floor
+        identity_cost.append(float(np.trapezoid(((q1p - f2.q) ** 2).sum(axis=1), dx=dt)))
+        gap_sq.append(_start_gap_sq(f1, f2))
 
-    paths = [tuple(k * dt for k in _dp_lattice(table, dt)) for table in tables]
-    refined = []
-    for d, table in enumerate(tables):
-        (px, py), (ox, oy) = paths[d], paths[1 - d]
-        seeds = [_presmooth_warp(np.interp(ts, px, py)),
-                 _presmooth_warp(np.interp(ts, oy, ox))]
-        if np.array_equal(seeds[0], seeds[1]):
-            seeds.pop()  # the two lattice paths agree: refine once
-        refined.append([_refine_warp(table, g0) for g0 in seeds])
+    # directed table t is pair t % P; its mirror is t +- P
+    paths = [(pi * dt, pj * dt) for pi, pj in _dp_lattice(gr, dt)]
+    mirror = [(t + P) % (2 * P) for t in range(2 * P)]
+    lane_tables, seeds = [], []
+    for t in range(2 * P):
+        (px, py), (ox, oy) = paths[t], paths[mirror[t]]
+        own = _presmooth_warp(np.interp(ts, px, py))
+        other = _presmooth_warp(np.interp(ts, oy, ox))
+        # when the two lattice paths agree, refine once
+        for g0 in (own,) if np.array_equal(own, other) else (own, other):
+            lane_tables.append(t)
+            seeds.append(g0)
+    warps, nonconverged = _refine_lanes(gr, lane_tables, seeds)
+    refined = [[] for _ in range(2 * P)]
+    for t, g in zip(lane_tables, warps):
+        refined[t].append(g)
 
+    fg = _cost_evaluator(gr)
     out = []
-    for d, table in enumerate(tables):
-        fg = _cost_evaluator(table)
-        (px, py), (ox, oy) = paths[d], paths[1 - d]
+    for t in range(2 * P):
+        (px, py), (ox, oy) = paths[t], paths[mirror[t]]
         candidates = [(px, py), (oy, ox)]
-        candidates += [(ts, g) for g in refined[d]]
-        candidates += [(g, ts) for g in refined[1 - d]]
-        best, best_cost = (ts, ts), identity_cost  # identity first: wins ties
-        for gx, gy in candidates:
-            c = fg(np.diff(np.interp(ts, gx, gy)))[0]
+        candidates += [(ts, g) for g in refined[t]]
+        candidates += [(g, ts) for g in refined[mirror[t]]]
+        U = np.stack([np.diff(np.interp(ts, gx, gy)) for gx, gy in candidates])
+        costs = fg(U, np.full(len(candidates), t))[0].tolist()
+        best, best_cost = (ts, ts), identity_cost[t % P]  # identity first: wins ties
+        for (gx, gy), c in zip(candidates, costs):
             # earlier (more canonical) candidates win ties within roundoff
             if c < best_cost - 1e-12 * (1.0 + abs(best_cost)):
                 best, best_cost = (gx, gy), c
         # every candidate's knots increase strictly: lattice moves take at
         # least one step, and refined increments are at least dt/3
-        out.append((float(np.sqrt(max(gap_sq + best_cost, 0.0))), WarpingFunction(*best)))
-    (d12, w12), (d21, w21) = out[::-1] if swap else out
-    return d12, d21, w12, w21, dc
+        out.append((float(np.sqrt(max(gap_sq[t % P] + best_cost, 0.0))), WarpingFunction(*best)))
+    results = []
+    for p, swap in enumerate(swaps):
+        (d12, w12), (d21, w21) = (out[P + p], out[p]) if swap else (out[p], out[P + p])
+        dc = float(np.sqrt(gap_sq[p] + identity_cost[p]))
+        results.append((d12, d21, w12, w21, dc))
+    return results, nonconverged
 
 
 def align_dq(
@@ -641,8 +744,8 @@ def align_dq(
     The returned warp reparameterizes the SECOND trajectory: it minimizes
     ``sqrt(l_x^2 + integral ||q1||(t) - q2(gamma(t)) sqrt(gamma'(t))||^2)``
     over the discretized warp group.  Both trajectories are resampled to
-    ``grid`` points and searched as one pair (`_dq_from_features`): the
-    lattice paths of both directions, each refined in the slope window.
+    ``grid`` points and searched as a block of one pair
+    (`_dq_from_features`): the lattice paths of both directions, each refined in the slope window.
     ``align_dq(b, a)`` is the other direction of the same search.  The
     identity warp is always a candidate, so the result never exceeds
     ``dist_dc`` on the same grid.
@@ -652,7 +755,7 @@ def align_dq(
     a1, a2 = _common_grid(pair, grid)
     f1 = _trajectory_features(a1, include_logdet, w_det)
     f2 = _trajectory_features(a2, include_logdet, w_det)
-    dq, _, warp, _, _ = _dq_from_features(f1, f2)
+    [(dq, _, warp, _, _)], _ = _dq_from_features([(f1, f2)])
     return dq, warp
 
 

@@ -10,6 +10,7 @@ from .alignment import (
     TrajectoryPair,
     _dc_from_features,
     _dq_from_features,
+    _pairs_per_block,
     _point_features,
     _trajectory_features,
     resample_trajectory,
@@ -34,6 +35,7 @@ class DistanceMatrix:
     metric: str
     asymmetry: float = 0.0  # max |d(i,j) - d(j,i)| before symmetrization (dq only)
     unaligned: "DistanceMatrix | None" = None  # d_c from the same pass (dq only)
+    refine_nonconverged: int = 0  # warp refinements stopped at their cap (dq only)
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
@@ -95,11 +97,13 @@ def distance_matrix(
     trajectory, as in `dist_dc`.  ``logeuclidean`` resamples every item to
     the longest item's length.
 
-    Pairs are computed one after another.  Each ``dq`` pair runs one warp
-    search, in the pair's canonical order, that scores both alignment
-    directions; the matrix takes the max of the two, records the largest gap
-    on the result, and carries the ``d_c`` matrix of the same pass as
-    ``unaligned``.
+    Pairs are computed in loop order.  ``dq`` searches them in blocks of
+    consecutive pairs, as many as `_pairs_per_block` allows: each pair gets
+    one warp search, in its canonical order, that scores both alignment
+    directions, and the block's searches run together.  The matrix takes
+    the max of the two directions, records the largest gap and the number
+    of non-converged refinements on the result, and carries the ``d_c``
+    matrix of the same pass as ``unaligned``.
     """
     if metric not in METRICS:
         raise ValueError(f"unknown metric {metric!r}; expected one of {METRICS}")
@@ -119,17 +123,24 @@ def distance_matrix(
     vals = np.zeros((N, N))
     dc_vals = np.zeros((N, N))
     asym = 0.0
+    nonconverged = 0
+    pairs = [(i, j) for i in range(N) for j in range(i + 1, N)]
+    size = len(pairs) or 1
 
+    # work(block) -> one (d_ij, d_ji, d_c) per pair, and non-converged refinements
     if metric == "logeuclidean":
         common = max(tr.length for tr in trajectories)
         logs = [sym_log(resample_trajectory(tr, common).matrices) for tr in trajectories]
 
-        def work(i, j):
+        def one(i, j):
             diff = (logs[i] - logs[j]).reshape(common, -1)
             d2 = np.linalg.vecdot(diff, diff)
             if common == 1:
-                return float(np.sqrt(d2[0])), 0.0, np.nan
-            return float(np.sqrt(np.trapezoid(d2, dx=1.0 / (common - 1)))), 0.0, np.nan
+                return float(np.sqrt(d2[0]))
+            return float(np.sqrt(np.trapezoid(d2, dx=1.0 / (common - 1))))
+
+        def work(block):
+            return [(d, d, np.nan) for d in (one(i, j) for i, j in block)], 0
     else:
         points = all(tr.length == 1 for tr in trajectories)
         if points:
@@ -140,23 +151,30 @@ def distance_matrix(
                 for tr in trajectories
             ]
 
-        def work(i, j):
-            if metric == "dc" or points:
-                d = _dc_from_features(feats[i], feats[j])
-                return d, 0.0, d
-            d_ij, d_ji, _, _, dc = _dq_from_features(feats[i], feats[j])
-            return max(d_ij, d_ji), abs(d_ij - d_ji), dc
+        if metric == "dc" or points:
+            def work(block):
+                ds = [_dc_from_features(feats[i], feats[j]) for i, j in block]
+                return [(d, d, d) for d in ds], 0
+        else:
+            size = _pairs_per_block(grid)
 
-    for i in range(N):
-        for j in range(i + 1, N):
-            d, gap, dc = work(i, j)
-            vals[i, j] = vals[j, i] = d
+            def work(block):
+                found, nc = _dq_from_features([(feats[i], feats[j]) for i, j in block])
+                return [(d_ij, d_ji, dc) for d_ij, d_ji, _, _, dc in found], nc
+
+    for b in range(0, len(pairs), size):
+        block = pairs[b : b + size]
+        found, nc = work(block)
+        nonconverged += nc
+        for (i, j), (d_ij, d_ji, dc) in zip(block, found):
+            vals[i, j] = vals[j, i] = max(d_ij, d_ji)
             dc_vals[i, j] = dc_vals[j, i] = dc
-            asym = max(asym, gap)
+            asym = max(asym, abs(d_ij - d_ji))
     if asym > 0:
         log.debug("dq symmetrization: max |forward - backward| = %.3e", asym)
     unaligned = DistanceMatrix(ids, dc_vals, "dc") if metric == "dq" else None
-    return DistanceMatrix(ids, vals, metric, asymmetry=asym, unaligned=unaligned)
+    return DistanceMatrix(ids, vals, metric, asymmetry=asym, unaligned=unaligned,
+                          refine_nonconverged=nonconverged)
 
 
 def _class_order(labels: np.ndarray) -> list:

@@ -4,7 +4,7 @@ Every command writes its artifacts plus a JSON run manifest listing the full
 configuration, input/output checksums and per-stage wall-clock timings.
 All randomness flows from explicit --seed flags; artifacts are byte-identical
 across reruns and ``--threads`` values (the option has no effect: pairs
-run one after another).
+run in one process, and ``dq`` pairs in blocks that search together).
 
 A Stiefel basis is fitted only by ``reduce``; ``distance`` and ``classify``
 apply a saved one with ``--basis``.
@@ -302,6 +302,7 @@ def _cmd_distance(args) -> int:
         man.add_output(rpath)
         man.data["histogram_skipped_pairs"] = skipped
         man.data["dq_max_asymmetry"] = D.asymmetry
+        man.data["refine_nonconverged"] = D.refine_nonconverged
     man.write(out.with_suffix(".manifest.json"))
     print(f"{D.size}x{D.size} {args.metric} matrix -> {out}")
     return 0

@@ -188,9 +188,22 @@ def load_basis(path) -> StiefelBasis:
 
 
 def save_timeseries_csv(path, ts: MultivariateTimeSeries, header: list[str] | None = None) -> None:
+    """One sample per row, under an optional header that `load_timeseries_csv` reads back.
+
+    The header must have one cell per channel, on one line, and no cell that
+    parses as a number: the loader would read such a line as data.
+    """
     lines = []
     if header is not None:
-        lines.append(",".join(header))
+        line = ",".join(header)
+        cells = line.split(",")
+        if len(cells) != ts.values.shape[1] or "\n" in line or "\r" in line:
+            raise ValueError(
+                f"header has {len(cells)} cells on one line; expected {ts.values.shape[1]}"
+            )
+        if any(_is_number(c) for c in cells):
+            raise ValueError(f"header {line!r} has a numeric cell; it would load as data")
+        lines.append(line)
     for row in ts.values:
         lines.append(",".join(_fmt(v) for v in row))
     Path(path).write_text("\n".join(lines) + "\n")

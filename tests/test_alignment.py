@@ -392,15 +392,49 @@ def test_align_dq_rejects_tiny_grid(rng):
 
 
 def _grams_and_seed(pair, grid=100):
-    """Gram tables of a pair and the smoothed lattice seed the refinement gets."""
+    """Gram tables of a one-pair block and the smoothed lattice seed its forward refinement gets."""
     a1, a2 = A._common_grid(pair, grid)
     f1 = A._trajectory_features(a1, False, None)
     f2 = A._trajectory_features(a2, False, None)
-    gr = A._pair_grams(A._transport_features(f1, f2), f2.q)
+    gr = A._PairGrams.empty(1, grid)
+    gr.fill(0, A._transport_features(f1, f2), f2.q)
     dt = 1.0 / (grid - 1)
-    pi, pj = A._dp_lattice(gr, dt)
+    (pi, pj), _ = A._dp_lattice(gr, dt)
     seed = A._presmooth_warp(np.interp(np.linspace(0, 1, grid), pi * dt, pj * dt))
     return gr, seed
+
+
+def _refine(gr, seed, maxiter=400):
+    """The refinement of one seed on directed table 0, run as a single lane."""
+    [g], _ = A._refine_lanes(gr, [0], [seed], maxiter)
+    return g
+
+
+def _one_lane_cost(gr, table=0):
+    """``u -> (cost, gradient)`` on one directed table, by a one-row evaluation."""
+    fg = A._cost_evaluator(gr)
+
+    def cost(u):
+        c, grad = fg(u[None], np.array([table]))
+        return float(c[0]), grad[0]
+
+    return cost
+
+
+def _block_grams(rng, P, grid=40):
+    """Gram tables of a block of ``P`` random pairs."""
+    gr = A._PairGrams.empty(P, grid)
+    for p in range(P):
+        f1, f2 = (
+            A._trajectory_features(
+                resample_trajectory(sample_curve(smooth_unitdet_curve(rng, 3), 20), grid),
+                False,
+                None,
+            )
+            for _ in range(2)
+        )
+        gr.fill(p, A._transport_features(f1, f2), f2.q)
+    return gr
 
 
 def test_refine_warp_stays_in_slope_window_and_beats_seed():
@@ -413,12 +447,12 @@ def test_refine_warp_stays_in_slope_window_and_beats_seed():
     pair = TrajectoryPair(_random_trajectory(rng, 100, 20), _random_trajectory(rng, 100, 20))
     gr, seed = _grams_and_seed(pair)
     dt = 1.0 / 99
-    g = A._refine_warp(gr, seed)
+    g = _refine(gr, seed)
     slopes = np.diff(g) / dt
     assert g[0] == 0.0 and g[-1] == 1.0
     assert slopes.min() >= 1.0 / 3.0 - 1e-9 and slopes.max() <= 3.0 + 1e-9
     projected = np.concatenate([[0.0], np.cumsum(A._project_slopes(np.diff(seed), dt))])
-    cost = A._cost_evaluator(gr)
+    cost = _one_lane_cost(gr)
     assert cost(np.diff(g))[0] <= cost(np.diff(projected))[0]
 
 
@@ -426,8 +460,8 @@ def test_warp_search_in_canonical_order_is_exactly_symmetric(rng):
     for _ in range(3):
         a, b = (sample_curve(smooth_unitdet_curve(rng, 3), 30) for _ in range(2))
         f1, f2 = (A._trajectory_features(resample_trajectory(t, 40), False, None) for t in (a, b))
-        d12, d21, w12, w21, dc = A._dq_from_features(f1, f2)
-        e21, e12, v21, v12, ec = A._dq_from_features(f2, f1)
+        [(d12, d21, w12, w21, dc)], _ = A._dq_from_features([(f1, f2)])
+        [(e21, e12, v21, v12, ec)], _ = A._dq_from_features([(f2, f1)])
         assert (e12, e21, ec) == (d12, d21, dc)
         for w, v in ((w12, v12), (w21, v21)):
             assert np.array_equal(w.knots_x, v.knots_x) and np.array_equal(w.knots_y, v.knots_y)
@@ -442,12 +476,50 @@ def test_refine_warp_logs_non_convergence(rng, caplog):
     )
     gr, seed = _grams_and_seed(pair, grid=60)
     with caplog.at_level(logging.DEBUG, logger="spdtraj.alignment"):
-        A._refine_warp(gr, seed, maxiter=2)
+        _refine(gr, seed, maxiter=2)
     assert any("not converged after 2 iterations" in r.getMessage() for r in caplog.records)
     caplog.clear()
     with caplog.at_level(logging.DEBUG, logger="spdtraj.alignment"):
-        A._refine_warp(gr, seed)
+        _refine(gr, seed)
     assert not caplog.records
+
+
+def test_refine_lanes_log_one_record_per_non_converged_lane(rng, caplog):
+    # a block of three pairs, both directions, one or two seeds per table:
+    # every lane stops at the cap and is reported once
+    gr = _block_grams(rng, 3)
+    ts = np.linspace(0.0, 1.0, 40)
+    tables = [0, 1, 1, 2, 3, 4, 5, 5]
+    seeds = [A._presmooth_warp(ts ** (0.6 + 0.1 * k)) for k in range(len(tables))]
+    with caplog.at_level(logging.DEBUG, logger="spdtraj.alignment"):
+        warps, nonconverged = A._refine_lanes(gr, tables, seeds, maxiter=2)
+    records = [r.getMessage() for r in caplog.records]
+    assert nonconverged == len(tables) == len(warps)
+    assert len(records) == len(tables)
+    assert all(m.startswith("warp refinement not converged after 2 iterations") for m in records)
+
+
+def test_stacked_cost_evaluator_matches_one_lane(rng):
+    # every row of a stacked evaluation, on forward and mirrored tables, is
+    # bit for bit the row evaluated alone; a mirrored table equals the
+    # forward table of explicitly transposed Grams
+    P, T = 3, 40
+    gr = _block_grams(rng, P, T)
+    dt = 1.0 / (T - 1)
+    tables = np.array([0, 4, 2, 3, 3, 1, 5, 0])
+    U = np.stack([A._project_slopes(dt * np.exp(0.5 * rng.normal(size=T - 1)), dt)
+                  for _ in tables])
+    costs, grads = A._cost_evaluator(gr)(U, tables)
+    for u, t, c, grad in zip(U, tables, costs, grads):
+        c1, g1 = _one_lane_cost(gr, t)(u)
+        assert c1 == c and np.array_equal(g1, grad)
+    flipped = A._PairGrams(
+        N1=gr.N2, N2=gr.N1, G=gr.G.transpose(0, 2, 1).copy(), C1=gr.C2, C2=gr.C1
+    )
+    for u, t in zip(U, tables):
+        c1, g1 = _one_lane_cost(gr, t)(u)
+        c2, g2 = _one_lane_cost(flipped, (t + P) % (2 * P))(u)
+        assert c1 == c2 and np.array_equal(g1, g2)
 
 
 @given(hs.integers(0, 2**32 - 1), hs.floats(0.1, 3.0))

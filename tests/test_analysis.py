@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import sample_curve, smooth_unitdet_curve
+from spdtraj import alignment, analysis
 from spdtraj.alignment import (
     TrajectoryPair,
     _dq_from_features,
@@ -69,11 +70,44 @@ def test_dq_matrix_entry_is_both_align_dq_directions(rng):
         assert D.values[0, 1] == max(d_ab, d_ba)
         assert D.asymmetry == abs(d_ab - d_ba)
         fa, fb = (_trajectory_features(resample_trajectory(t, 50), False, None) for t in (a, b))
-        d12, d21, w12, w21, dc = _dq_from_features(fa, fb)
+        [(d12, d21, w12, w21, dc)], _ = _dq_from_features([(fa, fb)])
         assert (d_ab, d_ba) == (d12, d21)
         assert np.array_equal(w_ab.knots_y, w12.knots_y)
         assert np.array_equal(w_ba.knots_y, w21.knots_y)
         assert D.unaligned.values[0, 1] == dc
+
+
+def test_dq_blocks_match_single_pair_search(rng, monkeypatch):
+    # 10 pairs in blocks of 3 (the last one a 1-pair tail) give exactly the
+    # matrix of one single-pair search per pair
+    grid = 30
+    monkeypatch.setattr(alignment, "_BLOCK_GRAM_BYTES", 3 * 8 * grid * grid)
+    blocks = []
+    search = analysis._dq_from_features
+
+    def recorded(pairs):
+        blocks.append(len(pairs))
+        return search(pairs)
+
+    monkeypatch.setattr(analysis, "_dq_from_features", recorded)
+    trajs = _collection(rng, 5, T=15)
+    D = distance_matrix(trajs, metric="dq", grid=grid)
+    assert blocks == [3, 3, 3, 1]
+
+    feats = [_trajectory_features(resample_trajectory(t, grid), False, None) for t in trajs]
+    vals, dc_vals = np.zeros((5, 5)), np.zeros((5, 5))
+    asym, nonconverged = 0.0, 0
+    for i in range(5):
+        for j in range(i + 1, 5):
+            [(d12, d21, _, _, dc)], nc = search([(feats[i], feats[j])])
+            vals[i, j] = vals[j, i] = max(d12, d21)
+            dc_vals[i, j] = dc_vals[j, i] = dc
+            asym = max(asym, abs(d12 - d21))
+            nonconverged += nc
+    assert np.array_equal(D.values, vals)
+    assert np.array_equal(D.unaligned.values, dc_vals)
+    assert D.asymmetry == asym
+    assert D.refine_nonconverged == nonconverged
 
 
 def test_distance_matrix_permutation_equivariance(rng):

@@ -92,6 +92,10 @@ def test_distance_dq_not_exceeding_dc(tmp_path, twoclass_dir):
     report = dq_out.with_suffix(".alignment_report.csv").read_text().splitlines()
     assert report[0] == "id1,id2,d_c,d_q,relative_reduction"
     assert len(report) == 1 + 4 * 3 // 2
+    # the count of non-converged refinements goes to the manifest only
+    man = io.load_manifest(dq_out.with_suffix(".manifest.json"))
+    assert isinstance(man["refine_nonconverged"], int) and man["refine_nonconverged"] >= 0
+    assert "refine_nonconverged" not in io.load_manifest(dc_out.with_suffix(".manifest.json"))
 
 
 def test_distance_dq_report_dc_column_matches_dc_run(tmp_path, twoclass_dir):

@@ -116,6 +116,19 @@ def test_timeseries_csv_roundtrip(tmp_path, rng):
     np.testing.assert_array_equal(back.values, ts.values)
 
 
+def test_timeseries_csv_header_round_trips_or_is_rejected(tmp_path):
+    ts = MultivariateTimeSeries(values=np.array([[0.5, 0.25], [0.75, 1.5]]))
+    path = tmp_path / "ts.csv"
+    io.save_timeseries_csv(path, ts, header=["a", "b"])
+    assert path.read_text().splitlines()[0] == "a,b"
+    np.testing.assert_array_equal(io.load_timeseries_csv(path).values, ts.values)
+    # a header the loader would read as a data row, or of the wrong width
+    for header in (["1", "2"], ["a", "2.5"], ["a"], ["a", "b", "c"], ["a,b", "c"], ["a\nb", "c"]):
+        with pytest.raises(ValueError):
+            io.save_timeseries_csv(tmp_path / "bad.csv", ts, header=header)
+    assert not (tmp_path / "bad.csv").exists()
+
+
 def test_timeseries_csv_headerless(tmp_path, rng):
     ts = MultivariateTimeSeries(values=rng.normal(size=(5, 2)))
     path = tmp_path / "ts.csv"

@@ -68,10 +68,11 @@ def test_tracer_counts_each_layer_and_removes_its_wrappers():
     finally:
         tracer.remove()
 
-    # (warp_search, features, resample, dist_unitdet): one warp search and
-    # one start-point distance per pair, one feature set per item
+    # (warp_search, features, resample, dist_unitdet): one warp-search
+    # block for the 3 dq pairs, one start-point distance per pair, one
+    # feature set per item
     assert counts == {
-        "dq": (3, 3, 3, 3),
+        "dq": (1, 3, 3, 3),
         "point dc": (0, 4, 0, 6),
         "logeuclidean": (0, 0, 3, 0),
     }
