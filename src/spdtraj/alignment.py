@@ -31,12 +31,14 @@ Aligning a to b and b to a is one problem seen from two sides, so an
 unordered pair gets one warp search: it puts the pair in a canonical order,
 builds one transport and one Gram table, and scores every candidate warp
 and its inverse in both directions.  Swapping the pair swaps the results
-bit for bit.  The searches run in blocks of pairs whose Gram tables share
-one stack: the lattice DPs of a block advance row by row together, its
-refinements are lanes whose trial warps are scored by one stacked cost
-evaluation per round, and so are its candidates.  Every row of a stacked
-evaluation is computed exactly as it would be alone, so a pair's results
-do not depend on its block.
+bit for bit.  The searches of a list of pairs share one pool of refinement
+lanes, one array row per lane: each round scores the trial warps of every
+live lane with one stacked cost evaluation and projects the steps of the
+lanes that moved in one batch.  A pair holds a slot of one Gram stack while
+its lanes run; pairs that enter together run their lattice DPs row by row
+together, and new pairs enter as slots free up.  Every row of a stacked
+computation is computed exactly as it would be alone, so a pair's results
+do not depend on the other pairs.
 
 Trajectories are determinant-normalized before comparison.  The scalar
 log-det track can optionally be carried along as an extra flat channel with
@@ -45,8 +47,7 @@ weight ``w_det``.
 from __future__ import annotations
 
 import logging
-from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -78,10 +79,9 @@ _REFINE_RTOL = 1e-7
 # Gaussian width, in grid steps, of the smoothing applied to a lattice path
 # before it seeds the refinement.
 _PRESMOOTH_WIDTH = 2.0
-# A refinement step is accepted when it lowers the cost below the largest of
-# this many recent costs (nonmonotone line search).
-_REFINE_MEMORY = 3
-# A warp-search block takes as many pairs as fit their Gram tables in this
+# A refinement that has not stopped after this many steps is not converged.
+_REFINE_MAXITER = 400
+# The warp-search pool holds the Gram tables of as many pairs as fit in this
 # many bytes (16 pairs on a 100-point grid), and at least one.
 _BLOCK_GRAM_BYTES = 1_300_000
 
@@ -350,7 +350,7 @@ def _point_features(
 
 @dataclass(frozen=True)
 class _PairGrams:
-    """Inner-product tables between the TSRVF sample sets of a block of pairs.
+    """Inner-product tables between the TSRVF sample sets of pairs, one slot per pair.
 
     Every alignment cost is bilinear in linearly interpolated q2 samples, so
     the DP and the refinement only ever need these tables, never the feature
@@ -379,29 +379,32 @@ class _PairGrams:
         self.C1[p] = (q1p[:-1] * q1p[1:]).sum(axis=1)
         self.C2[p] = (q2[:-1] * q2[1:]).sum(axis=1)
 
-    def directed(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``N1``, ``N2`` and ``C2`` of the 2P directed tables."""
+    def directed(self, slots=slice(None)) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``N1``, ``N2`` and ``C2`` of the directed tables of ``slots``: forward, then mirrored."""
         return (
-            np.concatenate([self.N1, self.N2]),
-            np.concatenate([self.N2, self.N1]),
-            np.concatenate([self.C2, self.C1]),
+            np.concatenate([self.N1[slots], self.N2[slots]]),
+            np.concatenate([self.N2[slots], self.N1[slots]]),
+            np.concatenate([self.C2[slots], self.C1[slots]]),
         )
 
-    def rows(self, i: int) -> np.ndarray:
-        """Row ``i`` of every directed table: ``G[p, i, :]``, then ``G[p, :, i]``."""
-        return np.concatenate([self.G[:, i], self.G[:, :, i]])
+    def rows(self, i: int, slots=slice(None)) -> np.ndarray:
+        """Row ``i`` of the directed tables of ``slots``: ``G[p, i, :]``, then ``G[p, :, i]``."""
+        return np.concatenate([self.G[slots, i], self.G[slots, :, i]])
 
 
-def _dp_lattice(gr: _PairGrams, dt: float) -> list[tuple[np.ndarray, np.ndarray]]:
+def _dp_lattice(
+    gr: _PairGrams, dt: float, slots=slice(None)
+) -> list[tuple[np.ndarray, np.ndarray]]:
     """Minimize the warp cost over monotone lattice paths; knot indices per directed table.
 
     Edge costs integrate ``||q1(t) - sqrt(m) q2(gamma(t))||^2`` with the
     segment's constant slope m, by the trapezoid rule on the native grid
-    (the (2,1) move needs the midpoint of adjacent q2 samples).  All tables
-    of the block advance one row at a time; a row's edge costs are formed
-    from the rows of G it reads, and the DP keeps its last two rows.
+    (the (2,1) move needs the midpoint of adjacent q2 samples).  The
+    directed tables of ``slots`` (forward, then mirrored) advance one row at
+    a time together; a row's edge costs are formed from the rows of G it
+    reads, and the DP keeps its last two rows.
     """
-    N1, N2, C2 = gr.directed()
+    N1, N2, C2 = gr.directed(slots)
     K, T = N1.shape
     inf = np.inf
     s2 = np.sqrt(2.0)
@@ -410,7 +413,7 @@ def _dp_lattice(gr: _PairGrams, dt: float) -> list[tuple[np.ndarray, np.ndarray]
 
     def terms(i):
         # row i of g1, g2, gh and ghmid: the squared gaps of moves ending there
-        Gi = gr.rows(i)
+        Gi = gr.rows(i, slots)
         Gmid = np.zeros((K, T))
         Gmid[:, 1:] = 0.5 * (Gi[:, :-1] + Gi[:, 1:])
         a = N1[:, i, None]
@@ -436,7 +439,7 @@ def _dp_lattice(gr: _PairGrams, dt: float) -> list[tuple[np.ndarray, np.ndarray]
                 0.5 * prev2[2][:, :-1] + prev[3][:, 1:] + 0.5 * cur[2][:, 1:]
             )
         move[:, i] = np.argmin(cand, axis=0)
-        D2, D1 = D1, np.take_along_axis(cand, move[None, :, i], axis=0)[0]
+        D2, D1 = D1, np.minimum.reduce(cand, axis=0)  # the costs of the moves taken
         prev2, prev = prev, cur
 
     paths = []
@@ -475,9 +478,19 @@ def _cost_evaluator(gr: _PairGrams):
     # ||q2||^2 on cell k at weight w is B0 + w B1 + w^2 B2
     Bf = np.stack([N2l, 2.0 * (C2 - N2l), N2l - 2.0 * C2 + N2r], axis=1).ravel()
     const = h * (N1[:, :-1] + N1[:, 1:]).sum(axis=1)
+    # the lookups that depend only on the tables, for the last table array
+    # scored: the lane pool passes the same array until its lanes change
+    last = [None, None]
 
     def fg(U: np.ndarray, tables: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # temporaries are dropped as soon as they are used: a block scores
+        if last[0] is not tables:
+            # G[p, i, k] of a table, or G[p, k, i] of its mirror, at k = 0
+            mirror = (tables >= P)[:, None]
+            first = (tables % P * T * T)[:, None] + np.where(mirror, rows, rows * T)
+            last[:] = tables, (first, np.where(mirror, T, 1), const[tables],
+                               (tables * 3 * (T - 1))[:, None])
+        first, step, c0, cell = last[1]
+        # temporaries are dropped as soon as they are used: the pool scores
         # many rows at once
         pos = np.zeros((U.shape[0], T))
         np.cumsum(U, axis=1, out=pos[:, 1:])
@@ -485,16 +498,14 @@ def _cost_evaluator(gr: _PairGrams):
         k = np.minimum(pos.astype(np.intp), T - 2)
         w = pos - k
         del pos
-        # G[p, i, k] of a table, or G[p, k, i] of its mirror, and the next cell
-        mirror = (tables >= P)[:, None]
-        step = np.where(mirror, T, 1)
-        at = (tables % P * T * T)[:, None] + np.where(mirror, rows, rows * T) + k * step
+        # the cell's entry and the next one
+        at = first + k * step
         f = Gf.take(at)
         df = Gf.take(at + step) - f
         f += w * df
         fp = (T - 1) * df
         del df
-        at = (tables * 3 * (T - 1))[:, None] + k
+        at = cell + k
         del k
         B1, B2 = Bf.take(at + (T - 1)), Bf.take(at + 2 * (T - 1))
         b = Bf.take(at) + w * (B1 + w * B2)
@@ -505,7 +516,7 @@ def _cost_evaluator(gr: _PairGrams):
         fs = f[:, :-1] + f[:, 1:]
         bs = b[:, :-1] + b[:, 1:]
         del f, b
-        cost = const[tables] + h * (np.linalg.vecdot(m, bs) - 2.0 * np.linalg.vecdot(sm, fs))
+        cost = c0 + h * (np.vecdot(m, bs) - 2.0 * np.vecdot(sm, fs))
         # d cost / d gamma_j at knots 1..T-1, then through gamma = cumsum(u)
         dg = h * (m * bp[:, 1:] - 2.0 * sm * fp[:, 1:])
         dg[:, :-1] += h * (m[:, 1:] * bp[:, 1:-1] - 2.0 * sm[:, 1:] * fp[:, 1:-1])
@@ -524,212 +535,357 @@ def _presmooth_warp(g: np.ndarray) -> np.ndarray:
     return gs / gs[-1]
 
 
-def _refine_warp(g_init: np.ndarray, maxiter: int = 400):
-    """Local minimization of the canonical cost over warps in the slope window.
+def _project_slopes(Y: np.ndarray, dt: float) -> np.ndarray:
+    """Euclidean projection of each row of increments onto the slope window with unit sum.
 
-    Spectral projected gradient (Birgin, Martinez & Raydan, SIAM J. Optim.
-    10(4), 2000) in increment space: every iterate ``u = diff(gamma)`` lies in
-    ``{dt/3 <= u_k <= 3 dt, sum(u) = 1}``, so it is an endpoint-preserving warp
-    with slopes in ``[_SLOPE_MIN, _SLOPE_MAX]``.  It starts from the
-    projection of ``g_init``, takes Barzilai-Borwein steps and backtracks
-    until the cost is below the largest of the last ``_REFINE_MEMORY``
-    costs; the best iterate is returned, so it never costs more than the
-    projected seed.  It stops when the projected step predicts a decrease
-    below ``_REFINE_RTOL`` times the cost, when backtracking finds no
-    decrease, or after ``maxiter`` iterations (not converged).
-
-    A generator: it yields each trial increment vector and is sent back its
-    ``(cost, gradient)``, so that `_refine_lanes` can evaluate the trials of
-    many refinements together.  It returns ``(warp knots, best cost,
-    converged)``.
-    """
-    dt = 1.0 / (g_init.shape[0] - 1)
-    u = _project_slopes(np.diff(g_init), dt)
-    c, grad = yield u
-    best_u, best_c = u, c
-    recent = deque([c], maxlen=_REFINE_MEMORY)
-    converged = True
-    # the first step moves no increment by much more than a tenth of dt
-    alpha = 0.1 * dt / max(float(np.abs(grad - grad.mean()).max()), 1e-300)
-    for _ in range(maxiter):
-        d = _project_slopes(u - alpha * grad, dt) - u
-        deriv = float(grad @ d)  # directional derivative along d
-        if -deriv <= _REFINE_RTOL * c:
-            break
-        ref = max(recent)
-        lam = 1.0
-        while lam >= 1e-10:
-            u_new = u + lam * d
-            c_new, grad_new = yield u_new
-            if c_new <= ref + 1e-4 * lam * deriv:
-                break
-            # safeguarded minimizer of the quadratic through c, deriv, c_new
-            q = -0.5 * lam * lam * deriv / (c_new - c - lam * deriv)
-            lam = q if 0.1 * lam <= q <= 0.9 * lam else 0.5 * lam
-        else:
-            break  # no decrease along the projected direction
-        s, y = u_new - u, grad_new - grad
-        sy = float(s @ y)
-        alpha = min(max(float(s @ s) / sy, 1e-12), 1e3) if sy > 0 else 1e3 * dt
-        u, c, grad = u_new, c_new, grad_new
-        recent.append(c)
-        if c < best_c:
-            best_u, best_c = u, c
-    else:
-        converged = False
-    g = np.concatenate([[0.0], np.cumsum(best_u)])
-    g[-1] = 1.0
-    return g, best_c, converged
-
-
-def _refine_lanes(
-    gr: _PairGrams, tables: list[int], seeds: list[np.ndarray], maxiter: int = 400
-) -> tuple[list[np.ndarray], int]:
-    """Refine each seed on its directed table: the refined warps, and how many did not converge.
-
-    Each lane is one `_refine_warp`; every round evaluates the pending trials
-    of all live lanes in one stacked `_cost_evaluator` call.  A lane that
-    stops at ``maxiter`` is logged once, at DEBUG.
-    """
-    fg = _cost_evaluator(gr)
-    tables = np.asarray(tables, dtype=np.intp)
-    lanes = [_refine_warp(g0, maxiter) for g0 in seeds]
-    trials = [next(lane) for lane in lanes]
-    done = [None] * len(lanes)
-    live = list(range(len(lanes)))
-    while live:
-        costs, grads = fg(np.stack([trials[i] for i in live]), tables[live])
-        still = []
-        for i, c, grad in zip(live, costs.tolist(), grads):
-            try:
-                # a copy: a row view would keep the round's whole stack alive
-                trials[i] = lanes[i].send((c, grad.copy()))
-                still.append(i)
-            except StopIteration as stop:
-                done[i] = stop.value
-        live = still
-    nonconverged = 0
-    for _, best_c, converged in done:
-        if not converged:
-            nonconverged += 1
-            log.debug(
-                "warp refinement not converged after %d iterations (cost %.6g)",
-                maxiter,
-                best_c,
-            )
-    return [g for g, _, _ in done], nonconverged
-
-
-def _project_slopes(y: np.ndarray, dt: float) -> np.ndarray:
-    """Euclidean projection of increments onto the slope window with unit sum.
-
-    The projection is ``clip(y - lam, dt/3, 3 dt)`` for the shift ``lam``
-    that restores the unit sum; ``lam`` is found by Newton's method on that
-    piecewise-linear sum, safeguarded by bisection.
+    Row ``r`` projects to ``clip(Y[r] - lam_r, dt/3, 3 dt)`` for the shift
+    ``lam_r`` that restores the unit sum; ``lam_r`` is found by Newton's
+    method on that piecewise-linear sum, safeguarded by bisection, in at most
+    64 iterations.  The rows iterate together, each exactly as it would
+    alone, until every sum is restored.
     """
     lo, hi = _SLOPE_MIN * dt, _SLOPE_MAX * dt
-    a, b = float((y - hi).min()), float((y - lo).max())
-    lam = (float(y.sum()) - 1.0) / y.size
-    for _ in range(64):
-        z = y - lam
-        u = np.minimum(np.maximum(z, lo), hi)
-        excess = float(u.sum()) - 1.0
-        if abs(excess) <= 1e-15:
-            break
-        if excess > 0:
-            a = lam
+    rows = out = None  # the rows still iterating, once some have left
+    # rounding is monotone, so the bracket min(y) - hi equals min(y - hi)
+    a = np.minimum.reduce(Y, axis=1) - hi
+    b = np.maximum.reduce(Y, axis=1) - lo
+    lam = (np.add.reduce(Y, axis=1) - 1.0) / Y.shape[1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(64):
+            z = Y - lam[:, None]
+            u = np.minimum(np.maximum(z, lo), hi)
+            excess = np.add.reduce(u, axis=1) - 1.0
+            going = np.abs(excess) > 1e-15
+            n = np.count_nonzero(going)
+            if n < going.shape[0]:
+                if not n:
+                    break
+                # a finished row keeps its shift, so it recomputes the same
+                # u; it leaves once half the rows have finished
+                if 2 * n <= going.shape[0]:
+                    if out is None:
+                        rows, out = np.arange(Y.shape[0]), np.empty_like(Y)
+                    out[rows] = u
+                    rows, Y, z, u, excess, lam, a, b, going = (
+                        x[going] for x in (rows, Y, z, u, excess, lam, a, b, going)
+                    )
+            up = excess > 0
+            a = np.where(up, lam, a)
+            b = np.where(up, b, lam)
+            # with no free entry the Newton step is infinite: bisection takes over
+            nxt = lam + excess / np.add.reduce((z > lo) & (z < hi), axis=1, dtype=float)
+            lam = np.where(going, np.where((a < nxt) & (nxt < b), nxt, 0.5 * (a + b)), lam)
+    if out is None:
+        return u
+    out[rows] = u
+    return out
+
+
+class _Lanes:
+    """Warp refinements in flight, one array row per lane.
+
+    A lane minimizes the canonical cost of one directed table over warps in
+    the slope window, from a seed warp, by a spectral projected gradient
+    (Birgin, Martinez & Raydan, SIAM J. Optim. 10(4), 2000) in increment
+    space: every iterate ``u = diff(gamma)`` lies in ``{dt/3 <= u_k <= 3 dt,
+    sum(u) = 1}``, so it is an endpoint-preserving warp with slopes in
+    ``[_SLOPE_MIN, _SLOPE_MAX]``.  A lane starts from the projected seed,
+    takes Barzilai-Borwein steps and backtracks until the cost is below the
+    largest of its last 3 costs (a nonmonotone line search).  Its best
+    iterate is its result, so it never costs more than the projected seed.  It stops when
+    the projected step predicts a decrease below ``_REFINE_RTOL`` times the
+    cost, when backtracking finds no decrease, or after ``maxiter`` steps;
+    the last is logged once, at DEBUG, as not converged.
+
+    `advance` scores the pending trial of every lane with one stacked cost
+    evaluation, accepts or backtracks each lane, and projects the steps of
+    the lanes that moved in one batch.  Each lane takes exactly the iterates
+    it would take alone, and its row leaves the arrays when it stops.
+    """
+
+    # per-lane vectors: the pending trial, the iterate and its gradient, the
+    # projected direction, and the best iterate; they live in buffers of
+    # ``capacity`` rows made once, so that the rounds allocate only
+    # temporaries and the heap does not fragment
+    _VECTORS = ("trial", "u", "grad", "d", "best_u")
+    # per-lane scalars and their values in a new lane: caller's id, directed
+    # table, steps taken (the start counts as none), the iterate's cost and
+    # next step size, the costs of the two iterates before it, directional
+    # derivative, backtracking factor, best cost.  A new lane has no costs
+    # yet: its line search's reference is +inf, so its start is taken, and
+    # the +inf shifts out with it
+    _SCALARS = {"owner": 0, "table": 0, "steps": -1, "c": -np.inf, "alpha": 0.0,
+                "c1": -np.inf, "c2": np.inf, "deriv": 0.0, "lam": 0.0, "best_c": np.inf}
+
+    def __init__(self, T: int, maxiter: int, capacity: int):
+        self.dt = 1.0 / (T - 1)
+        self.maxiter = maxiter
+        self.rounds = self.evaluations = self.nonconverged = 0
+        self.fresh = False  # some lane has not been scored yet
+        self.buffers = {name: np.empty((capacity, T - 1)) for name in self._VECTORS}
+        self._resize(0)
+        for name, value in self._SCALARS.items():
+            setattr(self, name, np.empty(0, dtype=np.asarray(value).dtype))
+
+    def __len__(self) -> int:
+        return self.owner.shape[0]
+
+    def _resize(self, n: int) -> None:
+        """Point the per-lane vectors at the first ``n`` rows of their buffers."""
+        for name in self._VECTORS:
+            setattr(self, name, self.buffers[name][:n])
+
+    def add(self, owners, tables, seeds: np.ndarray) -> None:
+        """New lanes: ``seeds[l]`` refined on directed table ``tables[l]``, reported as ``owners[l]``."""
+        n, k = len(self), len(seeds)
+        self._resize(n + k)
+        self.trial[n:] = _project_slopes(np.diff(seeds, axis=1), self.dt)
+        for name in ("u", "grad", "d"):
+            getattr(self, name)[n:] = 0.0
+        given = {"owner": owners, "table": tables}
+        for name, value in self._SCALARS.items():
+            old = getattr(self, name)
+            new = np.broadcast_to(given.get(name, value), k).astype(old.dtype)
+            setattr(self, name, np.concatenate([old, new]))
+        self.fresh = True
+
+    def advance(self, fg):
+        """One round; returns the owners and refined warps of the lanes that stopped."""
+        dt = self.dt
+        c_new, g_new = fg(self.trial, self.table)
+        self.rounds += 1
+        self.evaluations += c_new.shape[0]
+        # nonmonotone Armijo test against the largest of the last 3 costs
+        ref = np.maximum(self.c, np.maximum(self.c1, self.c2))
+        acc = c_new <= ref + 1e-4 * self.lam * self.deriv
+        everyone = np.logical_and.reduce(acc)
+        stop = np.zeros(acc.shape, dtype=bool)
+        if not everyone:
+            # backtrack: safeguarded minimizer of the quadratic through c, deriv, c_new
+            back = (~acc).nonzero()[0]
+            lam, deriv = self.lam[back], self.deriv[back]
+            q = -0.5 * lam * lam * deriv / (c_new[back] - self.c[back] - lam * deriv)
+            lam = np.where((0.1 * lam <= q) & (q <= 0.9 * lam), q, 0.5 * lam)
+            self.lam[back] = lam
+            stop[back] = lam < 1e-10  # no decrease along the projected direction
+
+        # Barzilai-Borwein step size, for the lanes that moved
+        s = self.trial - self.u
+        sy = np.vecdot(s, g_new - self.grad)
+        pos = sy > 0
+        alpha = np.where(
+            pos, np.minimum(np.maximum(np.vecdot(s, s) / np.where(pos, sy, 1.0), 1e-12), 1e3), 1e3 * dt
+        )
+        del s
+        if self.fresh:
+            # the first step moves no increment by much more than a tenth of dt
+            first = (self.steps < 0).nonzero()[0]
+            g0 = g_new[first]
+            spread = np.abs(g0 - g0.mean(axis=1, keepdims=True)).max(axis=1)
+            alpha[first] = 0.1 * dt / np.maximum(spread, 1e-300)
+            self.fresh = False
+        better = c_new < self.best_c
+        if everyone:
+            self.c2, self.c1, self.c = self.c1, self.c, c_new
+            self.alpha = alpha
+            # the trial becomes the iterate: swap the two buffers
+            b = self.buffers
+            b["u"], b["trial"] = b["trial"], b["u"]
+            self.u, self.trial = self.trial, self.u
+            np.copyto(self.grad, g_new)
         else:
-            b = lam
-        n_free = np.count_nonzero((z > lo) & (z < hi))
-        lam_next = lam + excess / n_free if n_free else 0.5 * (a + b)
-        lam = lam_next if a < lam_next < b else 0.5 * (a + b)
-    return u
+            self.c2 = np.where(acc, self.c1, self.c2)
+            self.c1 = np.where(acc, self.c, self.c1)
+            self.c = np.where(acc, c_new, self.c)
+            self.alpha = np.where(acc, alpha, self.alpha)
+            np.copyto(self.u, self.trial, where=acc[:, None])
+            np.copyto(self.grad, g_new, where=acc[:, None])
+            better &= acc
+        del g_new
+        np.copyto(self.best_u, self.u, where=better[:, None])
+        np.copyto(self.best_c, c_new, where=better)
+        self.steps += acc
+        # steps grow only when a lane moves, so these reached the cap just now
+        failed = self.steps >= self.maxiter
+        capped = np.count_nonzero(failed)
+
+        rows = slice(None) if everyone and not capped else (acc & ~failed).nonzero()[0]
+        u, grad = self.u[rows], self.grad[rows]
+        if u.shape[0]:
+            d = _project_slopes(u - self.alpha[rows, None] * grad, dt)
+            d -= u
+            deriv = np.vecdot(grad, d)  # directional derivative along d
+            stop[rows] = -deriv <= _REFINE_RTOL * self.c[rows]
+            self.d[rows], self.deriv[rows], self.lam[rows] = d, deriv, 1.0
+            del d
+        if capped:
+            stop |= failed
+
+        owners, warps = (), ()
+        if np.count_nonzero(stop):
+            out = stop.nonzero()[0]
+            warps = np.zeros((out.size, self.u.shape[1] + 1))
+            np.cumsum(self.best_u[out], axis=1, out=warps[:, 1:])
+            warps[:, -1] = 1.0
+            owners = self.owner[out]
+            for best_c in self.best_c[failed]:
+                log.debug(
+                    "warp refinement not converged after %d iterations (cost %.6g)",
+                    self.maxiter,
+                    best_c,
+                )
+            self.nonconverged += int(np.count_nonzero(failed))
+            keep = ~stop
+            for name in self._VECTORS:
+                kept = getattr(self, name)[keep]
+                self.buffers[name][: kept.shape[0]] = kept
+            for name in self._SCALARS:
+                setattr(self, name, getattr(self, name)[keep])
+            self._resize(len(self))
+        np.add(self.u, self.lam[:, None] * self.d, out=self.trial)
+        return owners, warps
 
 
 def _pairs_per_block(T: int) -> int:
-    """How many pairs on a ``T``-point grid one `_dq_from_features` call takes."""
+    """How many pairs on a ``T``-point grid hold Gram slots at once."""
     return max(1, _BLOCK_GRAM_BYTES // (8 * T * T))
+
+
+@dataclass
+class _Search:
+    """A pair in the warp-search pool, from entering a Gram slot to its results."""
+
+    slot: int
+    swap: bool  # searched as (f2, f1)
+    gap_sq: float
+    identity_cost: float
+    paths: list = field(default_factory=list)  # each direction's lattice path, as warp knots
+    lane_dirs: list = field(default_factory=list)  # each lane's direction, in seed order
+    warps: list = field(default_factory=list)  # each lane's refined warp, once it stops
 
 
 def _dq_from_features(
     pairs: list[tuple[_Features, _Features]],
-) -> tuple[list[tuple[float, float, WarpingFunction, WarpingFunction, float]], int]:
-    """The warp searches of a block of unordered pairs.
+) -> tuple[list[tuple[float, float, WarpingFunction, WarpingFunction, float]], tuple[int, int, int]]:
+    """The warp searches of a list of unordered pairs.
 
     Returns one ``(d_12, d_21, warp_12, warp_21, d_c)`` per pair, and the
-    number of refinements that did not converge.  ``d_12`` aligns f2 to f1
-    and ``warp_12`` reparameterizes f2; ``d_21`` and ``warp_21`` are the
-    mirrored problem.  Each pair is searched in canonical order, so swapping
-    its features swaps its outputs bit for bit, and a pair's outputs do not
-    depend on the other pairs of its block.  ``d_c`` is the identity warp's
-    cost, computed exactly as `_dc_from_features` computes it, so
-    ``d_q <= d_c`` holds in both directions.
+    refinement counters ``(nonconverged, rounds, evaluations)``: lanes
+    stopped at their cap, stacked evaluations, and trials scored.  ``d_12``
+    aligns f2 to f1 and ``warp_12`` reparameterizes f2; ``d_21`` and
+    ``warp_21`` are the mirrored problem.  Each pair is searched in
+    canonical order, so swapping its features swaps its outputs bit for bit,
+    and a pair's outputs do not depend on the other pairs of the list.
+    ``d_c`` is the identity warp's cost, computed exactly as
+    `_dc_from_features` computes it, so ``d_q <= d_c`` holds in both
+    directions.
 
     One transport and one Gram table serve both directions of a pair: the
     mirrored problem reads the table transposed, which is exact because
     transport is isometric.  Each direction runs its lattice path and refines
     the presmoothed seeds from its own path and from the other direction's
     inverted path; every candidate of one direction is scored, inverted, in
-    the other as well, so the two candidate sets are mirror images.  The
-    lattice paths and the refinements of the whole block are computed
-    together; the candidates of one direction are scored in one call.
+    the other as well, so the two candidate sets are mirror images.
+
+    The pairs share one pool of refinement lanes (`_Lanes`).  A pair holds
+    one of `_pairs_per_block` Gram slots while its lanes run.  Whenever at
+    least half the slots are free (or no lane is left), the next pairs are
+    transported into them and run their lattice DPs together, and their
+    lanes join the pool; when a pair's last lane stops, its candidates are
+    scored and its slot is freed.
     """
     P, T = len(pairs), pairs[0][0].q.shape[0]
     dt = 1.0 / (T - 1)
     ts = np.linspace(0.0, 1.0, T)
-    swaps = [_swap_to_canonical(f1, f2) for f1, f2 in pairs]
-    pairs = [(f2, f1) if swap else (f1, f2) for (f1, f2), swap in zip(pairs, swaps)]
-    gr = _PairGrams.empty(P, T)
-    identity_cost, gap_sq = [], []
-    for p, (f1, f2) in enumerate(pairs):
-        q1p = _transport_features(f1, f2)
-        gr.fill(p, q1p, f2.q)
-        # identity cost in direct (per-sample nonnegative) form: exactly the
-        # unaligned integrand in both directions, so d_q <= d_c holds with
-        # no cancellation floor
-        identity_cost.append(float(np.trapezoid(((q1p - f2.q) ** 2).sum(axis=1), dx=dt)))
-        gap_sq.append(_start_gap_sq(f1, f2))
+    S = min(P, _pairs_per_block(T))
+    gr = _PairGrams.empty(S, T)
+    lanes = _Lanes(T, _REFINE_MAXITER, 4 * S)
+    free = list(range(S - 1, -1, -1))
+    searches: dict[int, _Search] = {}
+    results = [None] * P
+    entered = 0
+    while entered < P or len(lanes):
+        if entered < P and (len(free) >= min((S + 1) // 2, P - entered) or not len(lanes)):
+            batch = range(entered, min(P, entered + len(free)))
+            entered = batch.stop
+            slots = [free.pop() for _ in batch]
+            # directed table slot aligns f2 to f1, slot + S is its mirror
+            for p, slot in zip(batch, slots):
+                searches[p] = _enter_search(gr, slot, *pairs[p])
+            paths = [(pi * dt, pj * dt) for pi, pj in _dp_lattice(gr, dt, slots)]
+            owners, tables, seeds = [], [], []
+            for b, p in enumerate(batch):
+                st = searches[p]
+                st.paths = [paths[b], paths[len(slots) + b]]
+                for e, g0 in _seed_warps(st.paths, ts):
+                    owners.append(4 * p + len(st.lane_dirs))
+                    tables.append(st.slot + e * S)
+                    seeds.append(g0)
+                    st.lane_dirs.append(e)
+                    st.warps.append(None)
+            lanes.add(owners, tables, np.stack(seeds))
+            fg = _cost_evaluator(gr)
+        for owner, g in zip(*lanes.advance(fg)):
+            p, k = divmod(int(owner), 4)
+            st = searches[p]
+            st.warps[k] = g
+            if all(w is not None for w in st.warps):
+                results[p] = _finish_search(fg, searches.pop(p), S, ts)
+                free.append(st.slot)
+    return results, (lanes.nonconverged, lanes.rounds, lanes.evaluations)
 
-    # directed table t is pair t % P; its mirror is t +- P
-    paths = [(pi * dt, pj * dt) for pi, pj in _dp_lattice(gr, dt)]
-    mirror = [(t + P) % (2 * P) for t in range(2 * P)]
-    lane_tables, seeds = [], []
-    for t in range(2 * P):
-        (px, py), (ox, oy) = paths[t], paths[mirror[t]]
+
+def _seed_warps(paths: list, ts: np.ndarray):
+    """``(direction, seed)`` of a pair's refinements, from its two lattice paths.
+
+    Each direction refines the presmoothed seeds from its own path and from
+    the other direction's inverted path, once when the two agree.
+    """
+    for e in (0, 1):
+        (px, py), (ox, oy) = paths[e], paths[1 - e]
         own = _presmooth_warp(np.interp(ts, px, py))
         other = _presmooth_warp(np.interp(ts, oy, ox))
-        # when the two lattice paths agree, refine once
-        for g0 in (own,) if np.array_equal(own, other) else (own, other):
-            lane_tables.append(t)
-            seeds.append(g0)
-    warps, nonconverged = _refine_lanes(gr, lane_tables, seeds)
-    refined = [[] for _ in range(2 * P)]
-    for t, g in zip(lane_tables, warps):
-        refined[t].append(g)
+        yield e, own
+        if not np.array_equal(own, other):
+            yield e, other
 
-    fg = _cost_evaluator(gr)
+
+def _enter_search(gr: _PairGrams, slot: int, f1: _Features, f2: _Features) -> _Search:
+    """Put a pair in canonical order and its Gram tables in ``slot``."""
+    swap = _swap_to_canonical(f1, f2)
+    if swap:
+        f1, f2 = f2, f1
+    q1p = _transport_features(f1, f2)
+    gr.fill(slot, q1p, f2.q)
+    # identity cost in direct (per-sample nonnegative) form: exactly the
+    # unaligned integrand in both directions, so d_q <= d_c holds with no
+    # cancellation floor
+    dt = 1.0 / (q1p.shape[0] - 1)
+    identity_cost = float(np.trapezoid(((q1p - f2.q) ** 2).sum(axis=1), dx=dt))
+    return _Search(slot, swap, _start_gap_sq(f1, f2), identity_cost)
+
+
+def _finish_search(fg, st: _Search, S: int, ts: np.ndarray):
+    """Score a pair's candidates in both directions; its ``(d_12, d_21, warp_12, warp_21, d_c)``."""
     out = []
-    for t in range(2 * P):
-        (px, py), (ox, oy) = paths[t], paths[mirror[t]]
+    for e in (0, 1):
+        (px, py), (ox, oy) = st.paths[e], st.paths[1 - e]
         candidates = [(px, py), (oy, ox)]
-        candidates += [(ts, g) for g in refined[t]]
-        candidates += [(g, ts) for g in refined[mirror[t]]]
+        candidates += [(ts, g) for g, de in zip(st.warps, st.lane_dirs) if de == e]
+        candidates += [(g, ts) for g, de in zip(st.warps, st.lane_dirs) if de != e]
         U = np.stack([np.diff(np.interp(ts, gx, gy)) for gx, gy in candidates])
-        costs = fg(U, np.full(len(candidates), t))[0].tolist()
-        best, best_cost = (ts, ts), identity_cost[t % P]  # identity first: wins ties
+        costs = fg(U, np.full(len(candidates), st.slot + e * S))[0].tolist()
+        best, best_cost = (ts, ts), st.identity_cost  # identity first: wins ties
         for (gx, gy), c in zip(candidates, costs):
             # earlier (more canonical) candidates win ties within roundoff
             if c < best_cost - 1e-12 * (1.0 + abs(best_cost)):
                 best, best_cost = (gx, gy), c
         # every candidate's knots increase strictly: lattice moves take at
         # least one step, and refined increments are at least dt/3
-        out.append((float(np.sqrt(max(gap_sq[t % P] + best_cost, 0.0))), WarpingFunction(*best)))
-    results = []
-    for p, swap in enumerate(swaps):
-        (d12, w12), (d21, w21) = (out[P + p], out[p]) if swap else (out[p], out[P + p])
-        dc = float(np.sqrt(gap_sq[p] + identity_cost[p]))
-        results.append((d12, d21, w12, w21, dc))
-    return results, nonconverged
+        out.append((float(np.sqrt(max(st.gap_sq + best_cost, 0.0))), WarpingFunction(*best)))
+    (d12, w12), (d21, w21) = out[::-1] if st.swap else out
+    dc = float(np.sqrt(st.gap_sq + st.identity_cost))
+    return d12, d21, w12, w21, dc
 
 
 def align_dq(
@@ -744,8 +900,9 @@ def align_dq(
     The returned warp reparameterizes the SECOND trajectory: it minimizes
     ``sqrt(l_x^2 + integral ||q1||(t) - q2(gamma(t)) sqrt(gamma'(t))||^2)``
     over the discretized warp group.  Both trajectories are resampled to
-    ``grid`` points and searched as a block of one pair
-    (`_dq_from_features`): the lattice paths of both directions, each refined in the slope window.
+    ``grid`` points and searched as a list of one pair
+    (`_dq_from_features`): the lattice paths of both directions, each
+    refined in the slope window.
     ``align_dq(b, a)`` is the other direction of the same search.  The
     identity warp is always a candidate, so the result never exceeds
     ``dist_dc`` on the same grid.

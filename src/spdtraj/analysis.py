@@ -10,7 +10,6 @@ from .alignment import (
     TrajectoryPair,
     _dc_from_features,
     _dq_from_features,
-    _pairs_per_block,
     _point_features,
     _trajectory_features,
     resample_trajectory,
@@ -26,6 +25,9 @@ from .reduction import ReductionModel, StiefelBasis, reduce_trajectory
 log = logging.getLogger(__name__)
 
 METRICS = ("dc", "dq", "logeuclidean")
+# One `_dq_from_features` call takes at most this many pairs: its results
+# hold two warps per pair (32 T bytes on a T-point grid).
+_DQ_PAIRS_PER_CALL = 1024
 
 
 @dataclass(frozen=True)
@@ -35,7 +37,13 @@ class DistanceMatrix:
     metric: str
     asymmetry: float = 0.0  # max |d(i,j) - d(j,i)| before symmetrization (dq only)
     unaligned: "DistanceMatrix | None" = None  # d_c from the same pass (dq only)
-    refine_nonconverged: int = 0  # warp refinements stopped at their cap (dq only)
+    # |d(i,j) - d(j,i)| per pair, upper triangle in row-major order (dq only)
+    pair_asymmetry: np.ndarray | None = field(default=None, repr=False)
+    # warp refinement counters (dq only): lanes stopped at their cap,
+    # stacked cost evaluations, and lane trials scored
+    refine_nonconverged: int = 0
+    refine_rounds: int = 0
+    refine_evaluations: int = 0
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
@@ -97,13 +105,14 @@ def distance_matrix(
     trajectory, as in `dist_dc`.  ``logeuclidean`` resamples every item to
     the longest item's length.
 
-    Pairs are computed in loop order.  ``dq`` searches them in blocks of
-    consecutive pairs, as many as `_pairs_per_block` allows: each pair gets
-    one warp search, in its canonical order, that scores both alignment
-    directions, and the block's searches run together.  The matrix takes
-    the max of the two directions, records the largest gap and the number
-    of non-converged refinements on the result, and carries the ``d_c``
-    matrix of the same pass as ``unaligned``.
+    Pairs are computed in loop order.  ``dq`` passes them to one
+    `_dq_from_features` call (up to ``_DQ_PAIRS_PER_CALL`` pairs per call):
+    each pair gets one warp search, in its canonical order, that scores both
+    alignment directions, and the pairs' refinements share one lane pool
+    that pairs join as Gram slots free up.  The matrix takes the max of the
+    two directions, records each pair's gap (``pair_asymmetry``), the
+    largest one and the refinement counters on the result, and carries the
+    ``d_c`` matrix of the same pass as ``unaligned``.
     """
     if metric not in METRICS:
         raise ValueError(f"unknown metric {metric!r}; expected one of {METRICS}")
@@ -122,12 +131,12 @@ def distance_matrix(
 
     vals = np.zeros((N, N))
     dc_vals = np.zeros((N, N))
-    asym = 0.0
-    nonconverged = 0
     pairs = [(i, j) for i in range(N) for j in range(i + 1, N)]
+    gaps = np.zeros(len(pairs))  # |d(i,j) - d(j,i)| per pair
+    counters = np.zeros(3, dtype=int)  # dq refinement counters
     size = len(pairs) or 1
 
-    # work(block) -> one (d_ij, d_ji, d_c) per pair, and non-converged refinements
+    # work(chunk) -> one (d_ij, d_ji, d_c) per pair, and the refinement counters
     if metric == "logeuclidean":
         common = max(tr.length for tr in trajectories)
         logs = [sym_log(resample_trajectory(tr, common).matrices) for tr in trajectories]
@@ -139,8 +148,8 @@ def distance_matrix(
                 return float(np.sqrt(d2[0]))
             return float(np.sqrt(np.trapezoid(d2, dx=1.0 / (common - 1))))
 
-        def work(block):
-            return [(d, d, np.nan) for d in (one(i, j) for i, j in block)], 0
+        def work(chunk):
+            return [(d, d, np.nan) for d in (one(i, j) for i, j in chunk)], (0, 0, 0)
     else:
         points = all(tr.length == 1 for tr in trajectories)
         if points:
@@ -152,29 +161,34 @@ def distance_matrix(
             ]
 
         if metric == "dc" or points:
-            def work(block):
-                ds = [_dc_from_features(feats[i], feats[j]) for i, j in block]
-                return [(d, d, d) for d in ds], 0
+            def work(chunk):
+                ds = [_dc_from_features(feats[i], feats[j]) for i, j in chunk]
+                return [(d, d, d) for d in ds], (0, 0, 0)
         else:
-            size = _pairs_per_block(grid)
+            size = _DQ_PAIRS_PER_CALL
 
-            def work(block):
-                found, nc = _dq_from_features([(feats[i], feats[j]) for i, j in block])
-                return [(d_ij, d_ji, dc) for d_ij, d_ji, _, _, dc in found], nc
+            def work(chunk):
+                found, refine = _dq_from_features([(feats[i], feats[j]) for i, j in chunk])
+                return [(d_ij, d_ji, dc) for d_ij, d_ji, _, _, dc in found], refine
 
     for b in range(0, len(pairs), size):
-        block = pairs[b : b + size]
-        found, nc = work(block)
-        nonconverged += nc
-        for (i, j), (d_ij, d_ji, dc) in zip(block, found):
+        chunk = pairs[b : b + size]
+        found, refine = work(chunk)
+        counters += refine
+        for k, ((i, j), (d_ij, d_ji, dc)) in enumerate(zip(chunk, found), start=b):
             vals[i, j] = vals[j, i] = max(d_ij, d_ji)
             dc_vals[i, j] = dc_vals[j, i] = dc
-            asym = max(asym, abs(d_ij - d_ji))
+            gaps[k] = abs(d_ij - d_ji)
+    asym = float(gaps.max()) if gaps.size else 0.0
     if asym > 0:
         log.debug("dq symmetrization: max |forward - backward| = %.3e", asym)
-    unaligned = DistanceMatrix(ids, dc_vals, "dc") if metric == "dq" else None
-    return DistanceMatrix(ids, vals, metric, asymmetry=asym, unaligned=unaligned,
-                          refine_nonconverged=nonconverged)
+    if metric != "dq":
+        return DistanceMatrix(ids, vals, metric, asymmetry=asym)
+    nonconverged, rounds, evaluations = counters.tolist()
+    return DistanceMatrix(ids, vals, metric, asymmetry=asym,
+                          unaligned=DistanceMatrix(ids, dc_vals, "dc"),
+                          pair_asymmetry=gaps, refine_nonconverged=nonconverged,
+                          refine_rounds=rounds, refine_evaluations=evaluations)
 
 
 def _class_order(labels: np.ndarray) -> list:

@@ -4,7 +4,7 @@ Every command writes its artifacts plus a JSON run manifest listing the full
 configuration, input/output checksums and per-stage wall-clock timings.
 All randomness flows from explicit --seed flags; artifacts are byte-identical
 across reruns and ``--threads`` values (the option has no effect: pairs
-run in one process, and ``dq`` pairs in blocks that search together).
+run in one process, and the ``dq`` pairs share one pool of warp refinements).
 
 A Stiefel basis is fitted only by ``reduce``; ``distance`` and ``classify``
 apply a saved one with ``--basis``.
@@ -302,7 +302,13 @@ def _cmd_distance(args) -> int:
         man.add_output(rpath)
         man.data["histogram_skipped_pairs"] = skipped
         man.data["dq_max_asymmetry"] = D.asymmetry
+        # nearest-rank quantiles of |d_ij - d_ji| over the pairs
+        gaps = np.sort(D.pair_asymmetry) if D.pair_asymmetry.size else np.zeros(1)
+        p50, p90 = (float(gaps[int(np.ceil(q * gaps.size)) - 1]) for q in (0.5, 0.9))
+        man.data["dq_asymmetry_quantiles"] = {"p50": p50, "p90": p90, "max": D.asymmetry}
         man.data["refine_nonconverged"] = D.refine_nonconverged
+        man.data["refine_rounds"] = D.refine_rounds
+        man.data["refine_evaluations"] = D.refine_evaluations
     man.write(out.with_suffix(".manifest.json"))
     print(f"{D.size}x{D.size} {args.metric} matrix -> {out}")
     return 0

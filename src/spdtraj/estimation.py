@@ -8,6 +8,7 @@ shorter than the channel count.
 """
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,6 +20,8 @@ from .geometry import (
     sym_log,
     symmetrize,
 )
+
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -169,7 +172,9 @@ def estimate_trajectory(
     """Sliding-window covariance trajectory; one SPD matrix per window.
 
     Produces ``T = floor((n_times - window_size)/step_size) + 1`` matrices on
-    a uniform time grid normalized to [0, 1].
+    a uniform time grid normalized to [0, 1].  Degenerate windows (see
+    `ledoit_wolf`) are reported in one WARNING with their count and the
+    first one's index.
     """
     if cfg.window_size > ts.n_times:
         raise ValueError(
@@ -177,10 +182,20 @@ def estimate_trajectory(
         )
     T = window_count(ts.n_times, cfg)
     mats = np.empty((T, ts.n_channels, ts.n_channels))
+    degenerate = []
     for w in range(T):
         start = w * cfg.step_size
         block = ts.values[start : start + cfg.window_size]
-        mats[w], _ = ledoit_wolf(block)
+        mats[w], diag = ledoit_wolf(block)
+        if diag.degenerate:
+            degenerate.append(w)
+    if degenerate:
+        log.warning(
+            "%d of %d shrinkage windows degenerate (first: window %d)",
+            len(degenerate),
+            T,
+            degenerate[0],
+        )
     return CovarianceTrajectory(matrices=mats)
 
 

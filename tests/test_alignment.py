@@ -404,9 +404,21 @@ def _grams_and_seed(pair, grid=100):
     return gr, seed
 
 
+def _run_lanes(gr, tables, seeds, maxiter=400):
+    """Refine ``seeds[l]`` on ``tables[l]`` as lanes of one pool: the warps in lane order, and the pool."""
+    lanes = A._Lanes(gr.N1.shape[1], maxiter, len(seeds))
+    lanes.add(np.arange(len(seeds)), tables, np.stack(seeds))
+    fg = A._cost_evaluator(gr)
+    warps = [None] * len(seeds)
+    while len(lanes):
+        for owner, g in zip(*lanes.advance(fg)):
+            warps[owner] = g
+    return warps, lanes
+
+
 def _refine(gr, seed, maxiter=400):
     """The refinement of one seed on directed table 0, run as a single lane."""
-    [g], _ = A._refine_lanes(gr, [0], [seed], maxiter)
+    [g], _ = _run_lanes(gr, [0], [seed], maxiter)
     return g
 
 
@@ -451,7 +463,7 @@ def test_refine_warp_stays_in_slope_window_and_beats_seed():
     slopes = np.diff(g) / dt
     assert g[0] == 0.0 and g[-1] == 1.0
     assert slopes.min() >= 1.0 / 3.0 - 1e-9 and slopes.max() <= 3.0 + 1e-9
-    projected = np.concatenate([[0.0], np.cumsum(A._project_slopes(np.diff(seed), dt))])
+    projected = np.concatenate([[0.0], np.cumsum(A._project_slopes(np.diff(seed)[None], dt)[0])])
     cost = _one_lane_cost(gr)
     assert cost(np.diff(g))[0] <= cost(np.diff(projected))[0]
 
@@ -492,9 +504,9 @@ def test_refine_lanes_log_one_record_per_non_converged_lane(rng, caplog):
     tables = [0, 1, 1, 2, 3, 4, 5, 5]
     seeds = [A._presmooth_warp(ts ** (0.6 + 0.1 * k)) for k in range(len(tables))]
     with caplog.at_level(logging.DEBUG, logger="spdtraj.alignment"):
-        warps, nonconverged = A._refine_lanes(gr, tables, seeds, maxiter=2)
+        warps, lanes = _run_lanes(gr, tables, seeds, maxiter=2)
     records = [r.getMessage() for r in caplog.records]
-    assert nonconverged == len(tables) == len(warps)
+    assert lanes.nonconverged == len(tables) == len(warps)
     assert len(records) == len(tables)
     assert all(m.startswith("warp refinement not converged after 2 iterations") for m in records)
 
@@ -507,8 +519,7 @@ def test_stacked_cost_evaluator_matches_one_lane(rng):
     gr = _block_grams(rng, P, T)
     dt = 1.0 / (T - 1)
     tables = np.array([0, 4, 2, 3, 3, 1, 5, 0])
-    U = np.stack([A._project_slopes(dt * np.exp(0.5 * rng.normal(size=T - 1)), dt)
-                  for _ in tables])
+    U = A._project_slopes(dt * np.exp(0.5 * rng.normal(size=(len(tables), T - 1))), dt)
     costs, grads = A._cost_evaluator(gr)(U, tables)
     for u, t, c, grad in zip(U, tables, costs, grads):
         c1, g1 = _one_lane_cost(gr, t)(u)
@@ -522,23 +533,53 @@ def test_stacked_cost_evaluator_matches_one_lane(rng):
         assert c1 == c2 and np.array_equal(g1, g2)
 
 
-@given(hs.integers(0, 2**32 - 1), hs.floats(0.1, 3.0))
+@given(hs.integers(0, 2**32 - 1), hs.floats(0.1, 3.0), hs.integers(1, 5))
 @settings(max_examples=30, deadline=None)
-def test_project_slopes_is_euclidean_projection(seed, spread):
+def test_project_slopes_is_euclidean_projection(seed, spread, rows):
     rng = np.random.default_rng(seed)
     dt = 1.0 / 49
-    y = dt * np.exp(spread * rng.normal(size=49))
-    u = A._project_slopes(y, dt)
+    Y = dt * np.exp(spread * rng.normal(size=(rows, 49)))
     lo, hi = A._SLOPE_MIN * dt, A._SLOPE_MAX * dt
-    assert abs(u.sum() - 1.0) < 1e-12
-    assert u.min() >= lo and u.max() <= hi
-    # optimality: u = clip(y - lam, lo, hi) with one shift for every free entry
-    free = (u > lo) & (u < hi)
-    if free.any():
-        lam = y[free] - u[free]
-        np.testing.assert_allclose(lam, lam[0], atol=1e-12)
-        assert np.all(y[u == lo] - lam[0] <= lo + 1e-12)
-        assert np.all(y[u == hi] - lam[0] >= hi - 1e-12)
+    for y, u in zip(Y, A._project_slopes(Y, dt)):
+        assert abs(u.sum() - 1.0) < 1e-12
+        assert u.min() >= lo and u.max() <= hi
+        # optimality: u = clip(y - lam, lo, hi) with one shift for every free entry
+        free = (u > lo) & (u < hi)
+        if free.any():
+            lam = y[free] - u[free]
+            np.testing.assert_allclose(lam, lam[0], atol=1e-12)
+            assert np.all(y[u == lo] - lam[0] <= lo + 1e-12)
+            assert np.all(y[u == hi] - lam[0] >= hi - 1e-12)
+
+
+def test_project_slopes_rows_match_one_row_projections():
+    # a stack mixing rows that finish after one Newton step, after several,
+    # and at the 64-iteration cap: a widely spread row whose shift is large
+    # can leave its sum more than 1e-15 from 1 for good.  Every row equals
+    # its one-row projection bit for bit
+    dt = 1.0 / 99
+    rng = np.random.default_rng(5)
+    capped = []
+    for _ in range(2000):
+        y = 1e3 * dt * rng.normal(size=99)
+        if abs(A._project_slopes(y[None], dt)[0].sum() - 1.0) > 1e-15:
+            capped.append(y)
+            if len(capped) == 2:
+                break
+    assert len(capped) == 2
+    lo = A._SLOPE_MIN * dt
+    Y = np.stack([
+        capped[0],
+        np.full(99, 1.0 / 99),  # already feasible
+        dt * np.exp(3.0 * rng.normal(size=99)),
+        np.full(99, lo),  # every entry at the lower bound
+        capped[1],
+        dt * np.exp(0.1 * rng.normal(size=99)),
+    ])
+    U = A._project_slopes(Y, dt)
+    for y, u in zip(Y, U):
+        assert np.array_equal(u, A._project_slopes(y[None], dt)[0])
+    assert abs(U[0].sum() - 1.0) > 1e-15 and abs(U[4].sum() - 1.0) > 1e-15
 
 
 # ---------------------------------------------------------------------------

@@ -78,36 +78,58 @@ def test_dq_matrix_entry_is_both_align_dq_directions(rng):
 
 
 def test_dq_blocks_match_single_pair_search(rng, monkeypatch):
-    # 10 pairs in blocks of 3 (the last one a 1-pair tail) give exactly the
-    # matrix of one single-pair search per pair
+    # 10 pairs through a pool of 3 Gram slots, so that pairs join as slots
+    # free up, give exactly the matrix and counters of one single-pair
+    # search per pair, also when lanes stop at a small iteration cap
     grid = 30
     monkeypatch.setattr(alignment, "_BLOCK_GRAM_BYTES", 3 * 8 * grid * grid)
-    blocks = []
-    search = analysis._dq_from_features
+    calls, slots, batches = [], [], []
+    search, empty, lattice = analysis._dq_from_features, alignment._PairGrams.empty, alignment._dp_lattice
 
     def recorded(pairs):
-        blocks.append(len(pairs))
+        calls.append(len(pairs))
         return search(pairs)
 
-    monkeypatch.setattr(analysis, "_dq_from_features", recorded)
-    trajs = _collection(rng, 5, T=15)
-    D = distance_matrix(trajs, metric="dq", grid=grid)
-    assert blocks == [3, 3, 3, 1]
+    def recorded_empty(P, T):
+        slots.append(P)
+        return empty(P, T)
 
+    def recorded_lattice(gr, dt, entering):
+        batches.append(len(entering))
+        return lattice(gr, dt, entering)
+
+    monkeypatch.setattr(analysis, "_dq_from_features", recorded)
+    monkeypatch.setattr(alignment._PairGrams, "empty", staticmethod(recorded_empty))
+    monkeypatch.setattr(alignment, "_dp_lattice", recorded_lattice)
+    trajs = _collection(rng, 5, T=15)
     feats = [_trajectory_features(resample_trajectory(t, grid), False, None) for t in trajs]
-    vals, dc_vals = np.zeros((5, 5)), np.zeros((5, 5))
-    asym, nonconverged = 0.0, 0
-    for i in range(5):
-        for j in range(i + 1, 5):
-            [(d12, d21, _, _, dc)], nc = search([(feats[i], feats[j])])
-            vals[i, j] = vals[j, i] = max(d12, d21)
-            dc_vals[i, j] = dc_vals[j, i] = dc
-            asym = max(asym, abs(d12 - d21))
-            nonconverged += nc
-    assert np.array_equal(D.values, vals)
-    assert np.array_equal(D.unaligned.values, dc_vals)
-    assert D.asymmetry == asym
-    assert D.refine_nonconverged == nonconverged
+    for maxiter in (400, 6):
+        monkeypatch.setattr(alignment, "_REFINE_MAXITER", maxiter)
+        calls.clear(), slots.clear(), batches.clear()
+        D = distance_matrix(trajs, metric="dq", grid=grid)
+        assert calls == [10] and slots == [3]
+        assert batches[0] == 3 and sum(batches) == 10 and len(batches) > 2
+
+        vals, dc_vals = np.zeros((5, 5)), np.zeros((5, 5))
+        gaps, nonconverged, rounds, evaluations = [], 0, [], 0
+        for i in range(5):
+            for j in range(i + 1, 5):
+                [(d12, d21, _, _, dc)], (nc, r, ev) = search([(feats[i], feats[j])])
+                vals[i, j] = vals[j, i] = max(d12, d21)
+                dc_vals[i, j] = dc_vals[j, i] = dc
+                gaps.append(abs(d12 - d21))
+                nonconverged += nc
+                rounds.append(r)
+                evaluations += ev
+        assert np.array_equal(D.values, vals)
+        assert np.array_equal(D.unaligned.values, dc_vals)
+        assert D.asymmetry == max(gaps)
+        assert np.array_equal(D.pair_asymmetry, gaps)
+        assert D.refine_nonconverged == nonconverged
+        assert D.refine_evaluations == evaluations
+        # pooled lanes share their rounds
+        assert max(rounds) <= D.refine_rounds < sum(rounds)
+        assert (nonconverged > 0) == (maxiter == 6)
 
 
 def test_distance_matrix_permutation_equivariance(rng):

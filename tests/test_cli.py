@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from spdtraj import io
-from spdtraj.alignment import resample_trajectory
+from spdtraj.alignment import TrajectoryPair, align_dq, resample_trajectory
 from spdtraj.cli import main
 
 
@@ -92,10 +92,34 @@ def test_distance_dq_not_exceeding_dc(tmp_path, twoclass_dir):
     report = dq_out.with_suffix(".alignment_report.csv").read_text().splitlines()
     assert report[0] == "id1,id2,d_c,d_q,relative_reduction"
     assert len(report) == 1 + 4 * 3 // 2
-    # the count of non-converged refinements goes to the manifest only
+    # the refinement counters go to the manifest only
     man = io.load_manifest(dq_out.with_suffix(".manifest.json"))
-    assert isinstance(man["refine_nonconverged"], int) and man["refine_nonconverged"] >= 0
-    assert "refine_nonconverged" not in io.load_manifest(dc_out.with_suffix(".manifest.json"))
+    dc_man = io.load_manifest(dc_out.with_suffix(".manifest.json"))
+    for key in ("refine_nonconverged", "refine_rounds", "refine_evaluations"):
+        assert isinstance(man[key], int) and man[key] >= 0
+        assert key not in dc_man
+    assert 0 < man["refine_rounds"] <= man["refine_evaluations"]
+    assert "dq_asymmetry_quantiles" not in dc_man
+
+
+def test_distance_dq_manifest_asymmetry_quantiles(tmp_path, twoclass_dir):
+    # nearest-rank p50 and p90, and the max, of |d_ij - d_ji| over the
+    # pairs, each pair's two directions computed by align_dq
+    paths = sorted(twoclass_dir.glob("traj*.spdt"))[:4]
+    out = tmp_path / "dq.csv"
+    argv = ["distance", *map(str, paths), "--metric", "dq", "--grid", "40", "--out", str(out)]
+    assert run(argv) == 0
+    man = io.load_manifest(out.with_suffix(".manifest.json"))
+    trajs = [io.load_trajectory(p) for p in paths]
+    gaps = []
+    for i in range(4):
+        for j in range(i + 1, 4):
+            d_ij, _ = align_dq(TrajectoryPair(trajs[i], trajs[j]), grid=40)
+            d_ji, _ = align_dq(TrajectoryPair(trajs[j], trajs[i]), grid=40)
+            gaps.append(abs(d_ij - d_ji))
+    p50, p90 = np.quantile(gaps, [0.5, 0.9], method="inverted_cdf")
+    assert man["dq_asymmetry_quantiles"] == {"p50": p50, "p90": p90, "max": max(gaps)}
+    assert man["dq_max_asymmetry"] == max(gaps) > 0
 
 
 def test_distance_dq_report_dc_column_matches_dc_run(tmp_path, twoclass_dir):

@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -105,6 +107,26 @@ def test_estimate_trajectory_rejects_oversized_window(rng):
     ts = MultivariateTimeSeries(values=rng.normal(size=(50, 3)))
     with pytest.raises(ValueError, match="window_size"):
         estimate_trajectory(ts, WindowConfig(60, 10))
+
+
+def test_estimate_trajectory_warns_once_of_degenerate_windows(rng, caplog):
+    # window 2 of 5 sees only a constant stretch of the series
+    values = rng.normal(size=(60, 3))
+    values[20:40] = 1.5
+    ts = MultivariateTimeSeries(values)
+    cfg = WindowConfig(20, 10)
+    with caplog.at_level(logging.WARNING, logger="spdtraj.estimation"):
+        traj = estimate_trajectory(ts, cfg)
+    records = [r for r in caplog.records if r.name == "spdtraj.estimation"]
+    assert len(records) == 1 and records[0].levelno == logging.WARNING
+    assert records[0].getMessage() == "1 of 5 shrinkage windows degenerate (first: window 2)"
+    # the result is the per-window estimate, as without the warning
+    for w in range(5):
+        assert np.array_equal(traj.matrices[w], ledoit_wolf(values[10 * w : 10 * w + 20])[0])
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="spdtraj.estimation"):
+        estimate_trajectory(MultivariateTimeSeries(rng.normal(size=(60, 3))), cfg)
+    assert not caplog.records
 
 
 def test_estimate_trajectory_deterministic(rng):
