@@ -592,10 +592,11 @@ class _Lanes:
     ``[_SLOPE_MIN, _SLOPE_MAX]``.  A lane starts from the projected seed,
     takes Barzilai-Borwein steps and backtracks until the cost is below the
     largest of its last 3 costs (a nonmonotone line search).  Its best
-    iterate is its result, so it never costs more than the projected seed.  It stops when
-    the projected step predicts a decrease below ``_REFINE_RTOL`` times the
-    cost, when backtracking finds no decrease, or after ``maxiter`` steps;
-    the last is logged once, at DEBUG, as not converged.
+    iterate is its result, so it never costs more than the projected seed.
+    It stops when the projected step predicts a decrease below
+    ``_REFINE_RTOL`` times the cost, when backtracking finds no decrease, or
+    after ``maxiter`` steps; the last is logged once, at DEBUG, as not
+    converged.
 
     `advance` scores the pending trial of every lane with one stacked cost
     evaluation, accepts or backtracks each lane, and projects the steps of

@@ -552,11 +552,89 @@ def test_project_slopes_is_euclidean_projection(seed, spread, rows):
             assert np.all(y[u == hi] - lam[0] >= hi - 1e-12)
 
 
+def _reference_projection(y, dt):
+    """One row's slope projection by the scalar Newton/bisection loop."""
+    lo, hi = A._SLOPE_MIN * dt, A._SLOPE_MAX * dt
+    a, b = float((y - hi).min()), float((y - lo).max())
+    lam = (float(y.sum()) - 1.0) / y.size
+    for _ in range(64):
+        z = y - lam
+        u = np.minimum(np.maximum(z, lo), hi)
+        excess = float(u.sum()) - 1.0
+        if abs(excess) <= 1e-15:
+            break
+        if excess > 0:
+            a = lam
+        else:
+            b = lam
+        n_free = np.count_nonzero((z > lo) & (z < hi))
+        lam_next = lam + excess / n_free if n_free else 0.5 * (a + b)
+        lam = lam_next if a < lam_next < b else 0.5 * (a + b)
+    return u
+
+
+def _reference_refinement(cost, g_init, maxiter):
+    """One refinement by the scalar spectral projected gradient: knots, best cost, converged."""
+    dt = 1.0 / (g_init.shape[0] - 1)
+    u = _reference_projection(np.diff(g_init), dt)
+    c, grad = cost(u)
+    best_u, best_c = u, c
+    recent = [c]
+    converged = True
+    alpha = 0.1 * dt / max(float(np.abs(grad - grad.mean()).max()), 1e-300)
+    for _ in range(maxiter):
+        d = _reference_projection(u - alpha * grad, dt) - u
+        deriv = float(grad @ d)
+        if -deriv <= A._REFINE_RTOL * c:
+            break
+        ref = max(recent[-3:])
+        lam = 1.0
+        while lam >= 1e-10:
+            u_new = u + lam * d
+            c_new, grad_new = cost(u_new)
+            if c_new <= ref + 1e-4 * lam * deriv:
+                break
+            q = -0.5 * lam * lam * deriv / (c_new - c - lam * deriv)
+            lam = q if 0.1 * lam <= q <= 0.9 * lam else 0.5 * lam
+        else:
+            break
+        s, y = u_new - u, grad_new - grad
+        sy = float(s @ y)
+        alpha = min(max(float(s @ s) / sy, 1e-12), 1e3) if sy > 0 else 1e3 * dt
+        u, c, grad = u_new, c_new, grad_new
+        recent.append(c)
+        if c < best_c:
+            best_u, best_c = u, c
+    else:
+        converged = False
+    g = np.concatenate([[0.0], np.cumsum(best_u)])
+    g[-1] = 1.0
+    return g, best_c, converged
+
+
+def test_lanes_take_the_scalar_refinement_iterates(rng):
+    # lanes on forward and mirrored tables of a 3-pair Gram stack, some
+    # stopped by the iteration cap, reach exactly the warps of the scalar
+    # refinement run one at a time
+    gr = _block_grams(rng, 3)
+    ts = np.linspace(0.0, 1.0, 40)
+    tables = [0, 4, 1, 1, 5, 2, 3]
+    seeds = [A._presmooth_warp(ts ** (0.5 + 0.15 * k)) for k in range(len(tables))]
+    for maxiter in (400, 5):
+        warps, lanes = _run_lanes(gr, tables, seeds, maxiter)
+        results = [_reference_refinement(_one_lane_cost(gr, t), g0, maxiter)
+                   for t, g0 in zip(tables, seeds)]
+        for g, (ref, _, _) in zip(warps, results):
+            assert np.array_equal(g, ref)
+        assert lanes.nonconverged == sum(not ok for _, _, ok in results)
+    assert lanes.nonconverged > 0
+
+
 def test_project_slopes_rows_match_one_row_projections():
     # a stack mixing rows that finish after one Newton step, after several,
     # and at the 64-iteration cap: a widely spread row whose shift is large
     # can leave its sum more than 1e-15 from 1 for good.  Every row equals
-    # its one-row projection bit for bit
+    # its one-row projection and the scalar loop's projection, bit for bit
     dt = 1.0 / 99
     rng = np.random.default_rng(5)
     capped = []
@@ -579,6 +657,7 @@ def test_project_slopes_rows_match_one_row_projections():
     U = A._project_slopes(Y, dt)
     for y, u in zip(Y, U):
         assert np.array_equal(u, A._project_slopes(y[None], dt)[0])
+        assert np.array_equal(u, _reference_projection(y, dt))
     assert abs(U[0].sum() - 1.0) > 1e-15 and abs(U[4].sum() - 1.0) > 1e-15
 
 
