@@ -56,7 +56,7 @@ from .geometry import (
     sym_sqrt,
 )
 from .reduction import (
-    PairTensor,
+    PairSet,
     ReductionModel,
     StiefelBasis,
     build_pairs,

@@ -46,6 +46,7 @@ weight ``w_det``.
 """
 from __future__ import annotations
 
+import functools
 import logging
 from dataclasses import dataclass, field
 
@@ -525,12 +526,20 @@ def _cost_evaluator(gr: _PairGrams):
     return fg
 
 
-def _presmooth_warp(g: np.ndarray) -> np.ndarray:
-    T = g.shape[0]
+@functools.lru_cache(maxsize=8)
+def _presmooth_kernel(T: int) -> tuple[np.ndarray, np.ndarray]:
+    """The T x T Gaussian presmoothing kernel and its row sums, read-only (cached per T)."""
     ts = np.linspace(0.0, 1.0, T)
     sig = _PRESMOOTH_WIDTH / (T - 1)
     W = np.exp(-0.5 * ((ts[:, None] - ts[None, :]) / sig) ** 2)
-    gs = (W @ g) / W.sum(axis=1)
+    rows = W.sum(axis=1)
+    W.flags.writeable = rows.flags.writeable = False
+    return W, rows
+
+
+def _presmooth_warp(g: np.ndarray) -> np.ndarray:
+    W, rows = _presmooth_kernel(g.shape[0])
+    gs = (W @ g) / rows
     gs = gs - gs[0]
     return gs / gs[-1]
 

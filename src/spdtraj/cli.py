@@ -248,6 +248,7 @@ def _cmd_reduce(args) -> int:
     io.save_values_csv(trace_path, model.objective_trace, header="objective")
     man.add_output(trace_path)
     man.data["converged"] = bool(model.converged)
+    man.data["stopped_by"] = model.stopped_by
     man.data["iterations"] = int(model.iterations)
     man.data["grad_norm"] = float(model.grad_norm)
     man.write(out.with_suffix(".manifest.json"))
@@ -498,8 +499,16 @@ def build_parser() -> argparse.ArgumentParser:
     red.add_argument("inputs", nargs="+", help="SPDT trajectory archives")
     red.add_argument("--d", type=int, required=True)
     red.add_argument("--max-iters", type=int, default=200)
-    red.add_argument("--tol", type=float, default=1e-6)
-    red.add_argument("--pair-cap", type=int, default=2048)
+    red.add_argument(
+        "--tol", type=float, default=1e-6,
+        help="stop, converged, when the Riemannian gradient norm is at most "
+        "TOL times the objective (a scale-free rule)",
+    )
+    red.add_argument(
+        "--pair-cap", type=int, default=2048,
+        help="sample at most this many training pairs; bounds the O(pairs n^2 d) "
+        "compute per iteration, while memory stays O(matrices n^2)",
+    )
     red.add_argument("--seed", type=int, default=0)
     red.add_argument("--out", required=True, help="output .stfb basis path")
     red.set_defaults(func=_cmd_reduce)

@@ -9,6 +9,11 @@ which is the trace reformulation of minimizing the reconstruction residual
 ``sum ||P_ij - B (B^T P_ij B) B^T||^2``.  Optimization is Riemannian gradient
 ascent with the canonical tangent projection, a sign-fixed QR retraction and
 a backtracking line search.
+
+The pair matrices are never formed.  The objective and its gradient are
+computed from the per-matrix factors P_i^-1 and P_j^2, so memory is
+O(N n^2) for N training matrices, while an evaluation over K sampled pairs
+costs O(K n^2 d).  The pair cap bounds only that compute.
 """
 from __future__ import annotations
 
@@ -56,19 +61,33 @@ class StiefelBasis:
 
 
 @dataclass(frozen=True)
-class PairTensor:
-    """Stacked pair matrices P_ij = P_i^-1 P_j^2 P_i^-1 with their index pairs."""
+class PairSet:
+    """Sampled index pairs (i, j) with the factors P_i^-1 and P_j^2 of each P_ij.
+
+    ``groups`` lists, for each j that occurs, the distinct i paired with it.
+    """
 
     indices: np.ndarray  # (K, 2) int
-    matrices: np.ndarray  # (K, n, n)
+    inverses: np.ndarray  # (N, n, n), symmetric
+    squares: np.ndarray  # (N, n, n), symmetric
+    groups: tuple = field(init=False, repr=False)
+
+    def __post_init__(self):
+        idx = np.asarray(self.indices)
+        by_j = idx[np.lexsort((idx[:, 0], idx[:, 1]))]
+        if np.any(np.all(by_j[1:] == by_j[:-1], axis=1)):
+            raise ValueError("pair indices repeat")
+        js, starts = np.unique(by_j[:, 1], return_index=True)
+        rows = np.split(by_j[:, 0], starts[1:])
+        object.__setattr__(self, "groups", tuple(zip(js.tolist(), rows)))
 
     @property
     def count(self) -> int:
-        return self.matrices.shape[0]
+        return self.indices.shape[0]
 
     @property
     def dim(self) -> int:
-        return self.matrices.shape[1]
+        return self.inverses.shape[1]
 
 
 @dataclass(frozen=True)
@@ -76,9 +95,13 @@ class ReductionModel:
     basis: StiefelBasis
     objective_trace: np.ndarray
     iterations: int
-    converged: bool
+    stopped_by: str  # "tolerance", "max_iters" or "line_search"
     grad_norm: float
     meta: dict = field(default_factory=dict)
+
+    @property
+    def converged(self) -> bool:
+        return self.stopped_by == "tolerance"
 
 
 def pair_matrix(P_i: np.ndarray, P_j: np.ndarray) -> np.ndarray:
@@ -96,47 +119,64 @@ def build_pairs(
     training: list[np.ndarray] | np.ndarray,
     cap: int = 2048,
     seed: int = 0,
-) -> PairTensor:
+) -> PairSet:
     """All ordered pairs i != j, uniformly subsampled to ``cap`` when larger."""
-    mats = [np.asarray(P, dtype=float) for P in training]
-    N = len(mats)
+    stack = np.asarray(training, dtype=float)
+    N = len(stack)
     if N < 2:
         raise ValueError("need at least 2 training matrices")
-    idx = np.array([(i, j) for i in range(N) for j in range(N) if i != j])
-    if len(idx) > cap:
-        rng = np.random.default_rng(seed)
-        sel = rng.choice(len(idx), size=cap, replace=False)
-        sel.sort()
-        idx = idx[sel]
-    invs = [np.linalg.inv(P) for P in mats]
-    sqs = [P @ P for P in mats]
-    n = mats[0].shape[0]
-    out = np.empty((len(idx), n, n))
-    for k, (i, j) in enumerate(idx):
-        out[k] = symmetrize(invs[i] @ sqs[j] @ invs[i])
-    return PairTensor(indices=idx, matrices=out)
+    # pair k of the row-major list of all i != j, without listing them
+    total = N * (N - 1)
+    if total > cap:
+        k = np.sort(np.random.default_rng(seed).choice(total, size=cap, replace=False))
+    else:
+        k = np.arange(total)
+    i, r = np.divmod(k, N - 1)
+    inverses = symmetrize(np.linalg.inv(stack))
+    squares = stack @ stack
+    del stack  # the stacked copy sets the fit's peak memory unless freed here
+    return PairSet(
+        indices=np.stack([i, r + (r >= i)], axis=1),
+        inverses=inverses,
+        squares=symmetrize(squares),
+    )
 
 
-def objective(B: StiefelBasis | np.ndarray, pairs: PairTensor) -> float:
+def objective(B: StiefelBasis | np.ndarray, pairs: PairSet) -> float:
     """sum_ij tr( (B^T P_ij B)^2 ); always nonnegative."""
     Bm = B.matrix if isinstance(B, StiefelBasis) else np.asarray(B, dtype=float)
-    return _objective_core(Bm, pairs.matrices)[1]
+    return _objective_core(Bm, pairs)[1]
 
 
-def euclidean_gradient(B: StiefelBasis | np.ndarray, pairs: PairTensor) -> np.ndarray:
+def euclidean_gradient(B: StiefelBasis | np.ndarray, pairs: PairSet) -> np.ndarray:
     """Ambient gradient 4 * sum_ij P_ij B (B^T P_ij B)."""
     Bm = B.matrix if isinstance(B, StiefelBasis) else np.asarray(B, dtype=float)
-    return _objective_core(Bm, pairs.matrices)[0]
+    return _objective_core(Bm, pairs)[0]
 
 
-def _objective_core(B: np.ndarray, P: np.ndarray) -> tuple[np.ndarray, float]:
-    """The ambient gradient and the objective at B, from one ``P_ij B`` stack."""
-    K, n, _ = P.shape
+def _objective_core(B: np.ndarray, pairs: PairSet) -> tuple[np.ndarray, float]:
+    """The ambient gradient and the objective at B, one j-group of pairs at a time.
+
+    With C_i = P_i^-1 B and V_ij = P_j^2 C_i, B^T P_ij B = V_ij^T C_i = M_ij,
+    and the gradient 4 sum_ij P_ij B M_ij = 4 sum_i P_i^-1 Z_i with
+    Z_i = sum_j V_ij M_ij.  Everything is held transposed (d x n), so a
+    group's V_ij^T is one GEMM against P_j^2.  Beside the N x d x n stacks
+    C^T and Z^T, every buffer is group-sized.  The i within a group are
+    distinct, so Z^T is updated in place through a fancy index.
+    """
+    inv, sq = pairs.inverses, pairs.squares
+    N, n, _ = inv.shape
     d = B.shape[1]
-    PB = (P.reshape(K * n, n) @ B).reshape(K, n, d)
-    M = np.matmul(PB.transpose(0, 2, 1), B)  # B^T P_ij B per pair
-    obj = float(np.sum(M * M.transpose(0, 2, 1)))
-    G = 4.0 * np.matmul(PB, M).sum(axis=0)
+    Ct = np.matmul(B.T, inv)  # C_i^T
+    Zt = np.zeros_like(Ct)
+    obj = 0.0
+    for j, rows in pairs.groups:
+        Cg = Ct[rows]
+        Vt = (Cg.reshape(-1, n) @ sq[j]).reshape(Cg.shape)
+        M = np.matmul(Vt, Cg.transpose(0, 2, 1))
+        obj += float(np.sum(M * M.transpose(0, 2, 1)))
+        Zt[rows] += np.matmul(M.transpose(0, 2, 1), Vt)
+    G = 4.0 * (Zt.transpose(1, 0, 2).reshape(d, N * n) @ inv.reshape(N * n, n)).T
     return G, obj
 
 
@@ -175,9 +215,12 @@ def fit(
     Training matrices must be unit-determinant.  ``seed`` picks the pairs
     when there are more than ``pair_cap`` of them.  The ascent starts from
     ``init`` or, by default, from the top-d eigenvector basis of the summed
-    matrix logs (log-domain PCA).  It stops when the Riemannian gradient
-    norm falls below ``tol``; otherwise the last accepted (and best) iterate
-    is returned with ``converged=False``.
+    matrix logs (log-domain PCA).  It stops, converged, when the Riemannian
+    gradient norm is at most ``tol`` times the objective, a rule that does
+    not depend on the scale of the data.  Otherwise it stops after
+    ``max_iters`` iterations or when the line search finds no ascent step,
+    and returns the last accepted (and best) iterate.  ``stopped_by`` names
+    which of the three ended the fit.
     """
     mats = [np.asarray(P, dtype=float) for P in training]
     if len(mats) < 2:
@@ -189,47 +232,50 @@ def fit(
         require_unit_det(P)
     pairs = build_pairs(mats, cap=pair_cap, seed=seed)
     B0 = init if init is not None else _log_pca_init(mats, d)
-    B, trace, converged, gn, iters = _ascend(B0, pairs, max_iters=max_iters, tol=tol)
+    B, trace, stopped_by, gn, iters = _ascend(B0, pairs, max_iters=max_iters, tol=tol)
     return ReductionModel(
         basis=StiefelBasis(matrix=B),
         objective_trace=np.asarray(trace),
         iterations=iters,
-        converged=converged,
+        stopped_by=stopped_by,
         grad_norm=gn,
         meta={"pair_count": pairs.count, "seed": seed, "d": d, "n": n},
     )
 
 
-def _ascend(B0: np.ndarray, pairs: PairTensor, max_iters: int, tol: float):
-    P = pairs.matrices
+def _ascend(B0: np.ndarray, pairs: PairSet, max_iters: int, tol: float):
     B = _retract(np.asarray(B0, dtype=float))
-    G, obj = _objective_core(B, P)
+    G, obj = _objective_core(B, pairs)
     trace = [obj]
     n, d = B.shape
     step = 1e-3 / max(1.0, np.linalg.norm(G) / np.sqrt(n * d))
-    converged = False
-    gn = np.inf
+    stopped_by = "max_iters"
     it = 0
     for it in range(1, max_iters + 1):
         xi = tangent_project(B, G)
         gn = float(np.linalg.norm(xi))
-        if gn < tol:
-            converged = True
+        if gn <= tol * obj:
+            stopped_by = "tolerance"
             break
         accepted = False
         for _ in range(40):
             B_new = _retract(B + step * xi)
-            G_new, obj_new = _objective_core(B_new, P)
+            G_new, obj_new = _objective_core(B_new, pairs)
             if obj_new > obj + 1e-4 * step * gn * gn:
                 accepted = True
                 break
             step *= 0.5
         if not accepted:
+            stopped_by = "line_search"
             break
         B, G, obj = B_new, G_new, obj_new
         trace.append(obj)
         step *= 1.5
-    return B, trace, converged, gn, it
+    else:  # the gradient norm reported is the returned iterate's
+        gn = float(np.linalg.norm(tangent_project(B, G)))
+        if gn <= tol * obj:
+            stopped_by = "tolerance"
+    return B, trace, stopped_by, gn, it
 
 
 def project(P: np.ndarray, B: StiefelBasis) -> tuple[np.ndarray, float | np.ndarray]:

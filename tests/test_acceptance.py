@@ -240,17 +240,19 @@ def test_acceptance_06_lemma_identities():
     # Lemma 2 consistency identity
     mats = [random_unitdet(rng, 6) for _ in range(5)]
     pairs = build_pairs(mats)
+    pair_mats = [pair_matrix(mats[i], mats[j]) for i, j in pairs.indices]
     B = StiefelBasis(matrix=np.linalg.qr(rng.normal(size=(6, 3)))[0])
     loss = sum(
         float(np.sum((M - B.matrix @ (B.matrix.T @ M @ B.matrix) @ B.matrix.T) ** 2))
-        for M in pairs.matrices
+        for M in pair_mats
     )
-    energy = sum(float(np.sum(M * M)) for M in pairs.matrices)
+    energy = sum(float(np.sum(M * M)) for M in pair_mats)
     assert abs(loss + objective(B, pairs) - energy) / energy < 1e-8
 
     # gradient vs central finite differences
     mats = [random_unitdet(rng, 4) for _ in range(3)]
     pairs = build_pairs(mats)
+    pair_mats = [pair_matrix(mats[i], mats[j]) for i, j in pairs.indices]
     Bm = np.linalg.qr(rng.normal(size=(4, 2)))[0]
     G = euclidean_gradient(StiefelBasis(matrix=Bm), pairs)
     h = 1e-6
@@ -260,8 +262,8 @@ def test_acceptance_06_lemma_identities():
             Bp, Bm_ = Bm.copy(), Bm.copy()
             Bp[a, b] += h
             Bm_[a, b] -= h
-            fp = sum(np.sum((Bp.T @ M @ Bp) * (Bp.T @ M @ Bp).T) for M in pairs.matrices)
-            fm = sum(np.sum((Bm_.T @ M @ Bm_) * (Bm_.T @ M @ Bm_).T) for M in pairs.matrices)
+            fp = sum(np.sum((Bp.T @ M @ Bp) * (Bp.T @ M @ Bp).T) for M in pair_mats)
+            fm = sum(np.sum((Bm_.T @ M @ Bm_) * (Bm_.T @ M @ Bm_).T) for M in pair_mats)
             fd[a, b] = (fp - fm) / (2 * h)
     assert np.abs(G - fd).max() / np.abs(fd).max() < 1e-5
     _report(6, started, "pair identity, Moore-Penrose, consistency, gradient fd")

@@ -813,3 +813,21 @@ def test_resample_trajectory_refines_smoothly(rng):
         for k, t in enumerate(np.linspace(0, 1, 55))
     ]
     assert max(errs) < 0.05
+
+
+def test_presmooth_warp_cached_kernel_matches_inline_formula(rng):
+    for T in (5, 17, 100):
+        g = np.concatenate([[0.0], np.sort(rng.uniform(size=T - 2)), [1.0]])
+        ts = np.linspace(0.0, 1.0, T)
+        sig = A._PRESMOOTH_WIDTH / (T - 1)
+        W = np.exp(-0.5 * ((ts[:, None] - ts[None, :]) / sig) ** 2)
+        gs = (W @ g) / W.sum(axis=1)
+        gs = gs - gs[0]
+        expected = gs / gs[-1]
+        for _ in range(2):  # the second call reads the cached kernel
+            assert A._presmooth_warp(g).tobytes() == expected.tobytes()
+    kernel, rows = A._presmooth_kernel(100)
+    with pytest.raises(ValueError):
+        kernel[0, 0] = 0.0
+    with pytest.raises(ValueError):
+        rows[0] = 0.0

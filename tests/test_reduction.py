@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ from spdtraj.geometry import (
     symmetrize,
 )
 from spdtraj.reduction import (
-    PairTensor,
+    PairSet,
     StiefelBasis,
     build_pairs,
     euclidean_gradient,
@@ -40,6 +42,11 @@ def block_training_set(rng, n, d, count, spread=0.6):
         P[:d, :d] = C
         out.append(P)
     return out
+
+
+def oracle_pair_matrices(mats, pairs):
+    """Each sampled pair matrix P_ij, formed on its own from the training matrices."""
+    return [pair_matrix(mats[i], mats[j]) for i, j in pairs.indices]
 
 
 def principal_angles(B1, B2):
@@ -73,8 +80,11 @@ def test_build_pairs_all_when_small(rng):
     mats = [random_unitdet(rng, 3) for _ in range(5)]
     pairs = build_pairs(mats, cap=2048, seed=0)
     assert pairs.count == 5 * 4
-    # P_ii is excluded; every P_ij is SPD
-    for M in pairs.matrices:
+    # P_ii is excluded; the factors rebuild every P_ij, and each is SPD
+    assert np.all(pairs.indices[:, 0] != pairs.indices[:, 1])
+    for (i, j), M in zip(pairs.indices, oracle_pair_matrices(mats, pairs)):
+        inv = pairs.inverses[i]
+        np.testing.assert_allclose(inv @ pairs.squares[j] @ inv, M, atol=1e-10)
         assert np.linalg.eigvalsh(M)[0] > 0
 
 
@@ -84,15 +94,19 @@ def test_build_pairs_subsamples_deterministically(rng):
     p2 = build_pairs(mats, cap=50, seed=3)
     assert p1.count == 50
     np.testing.assert_array_equal(p1.indices, p2.indices)
+    # the draw picks sorted positions in the row-major list of all i != j
+    full = np.array([(i, j) for i in range(12) for j in range(12) if i != j])
+    sel = np.sort(np.random.default_rng(3).choice(len(full), size=50, replace=False))
+    np.testing.assert_array_equal(p1.indices, full[sel])
 
 
 # ---------------------------------------------------------------------------
 # objective and gradient
 
 
-def _brute_force_objective(B, pairs):
+def _brute_force_objective(B, pair_mats):
     total = 0.0
-    for M in pairs.matrices:
+    for M in pair_mats:
         Q = B.T @ M @ B
         # elementwise trace of Q @ Q
         acc = 0.0
@@ -108,7 +122,7 @@ def test_objective_matches_brute_force(rng):
     pairs = build_pairs(mats)
     B = random_basis(rng, 5, 2)
     assert objective(B, pairs) == pytest.approx(
-        _brute_force_objective(B.matrix, pairs), rel=1e-10
+        _brute_force_objective(B.matrix, oracle_pair_matrices(mats, pairs)), rel=1e-10
     )
 
 
@@ -116,33 +130,39 @@ def test_objective_full_rank_invariance(rng):
     # square orthogonal B: objective equals sum tr(P_ij^2) for any rotation
     mats = [random_unitdet(rng, 4) for _ in range(3)]
     pairs = build_pairs(mats)
-    expected = sum(np.sum(M * M) for M in pairs.matrices)
+    P = np.array(oracle_pair_matrices(mats, pairs))
+    expected = sum(np.sum(M * M) for M in P)
     for _ in range(3):
         Q = np.linalg.qr(rng.normal(size=(4, 4)))[0]
         got = float(
             np.einsum(
                 "kde,ked->",
-                np.einsum("nd,kne->kde", Q, np.einsum("knm,md->knd", pairs.matrices, Q)),
-                np.einsum("nd,kne->kde", Q, np.einsum("knm,md->knd", pairs.matrices, Q)),
+                np.einsum("nd,kne->kde", Q, np.einsum("knm,md->knd", P, Q)),
+                np.einsum("nd,kne->kde", Q, np.einsum("knm,md->knd", P, Q)),
             )
         )
+        assert got == pytest.approx(expected, rel=1e-10)
         # evaluate through the library path as well (no orthonormality check
         # failure: Q is square orthogonal)
-        assert got == pytest.approx(expected, rel=1e-10)
+        assert objective(Q, pairs) == pytest.approx(expected, rel=1e-10)
 
 
 def test_objective_identity_pair_contribution():
     n, d = 5, 3
-    pairs = PairTensor(indices=np.array([[0, 0]]), matrices=np.eye(n)[None])
+    pairs = PairSet(
+        indices=np.array([[0, 0]]), inverses=np.eye(n)[None], squares=np.eye(n)[None]
+    )
     B = StiefelBasis(matrix=np.eye(n)[:, :d])
     assert objective(B, pairs) == pytest.approx(d, rel=1e-12)
 
 
 def test_gradient_identity_pairs(rng):
     n, d, K = 5, 2, 4
-    pairs = PairTensor(
-        indices=np.zeros((K, 2), dtype=int), matrices=np.repeat(np.eye(n)[None], K, 0)
+    eyes = np.repeat(np.eye(n)[None], 3, 0)
+    pairs = PairSet(
+        indices=np.array([[0, 1], [1, 0], [0, 2], [2, 0]]), inverses=eyes, squares=eyes
     )
+    assert pairs.count == K
     B = random_basis(rng, n, d)
     np.testing.assert_allclose(
         euclidean_gradient(B, pairs), 4.0 * K * B.matrix, atol=1e-12
@@ -152,6 +172,7 @@ def test_gradient_identity_pairs(rng):
 def test_gradient_matches_finite_differences(rng):
     mats = [random_unitdet(rng, 4) for _ in range(3)]
     pairs = build_pairs(mats)
+    pair_mats = oracle_pair_matrices(mats, pairs)
     B = random_basis(rng, 4, 2).matrix
     G = euclidean_gradient(StiefelBasis(matrix=B), pairs)
 
@@ -163,8 +184,8 @@ def test_gradient_matches_finite_differences(rng):
             Bp[a, b] += h
             Bm = B.copy()
             Bm[a, b] -= h
-            fp = sum(np.sum((Bp.T @ M @ Bp) * (Bp.T @ M @ Bp).T) for M in pairs.matrices)
-            fm = sum(np.sum((Bm.T @ M @ Bm) * (Bm.T @ M @ Bm).T) for M in pairs.matrices)
+            fp = sum(np.sum((Bp.T @ M @ Bp) * (Bp.T @ M @ Bp).T) for M in pair_mats)
+            fm = sum(np.sum((Bm.T @ M @ Bm) * (Bm.T @ M @ Bm).T) for M in pair_mats)
             fd[a, b] = (fp - fm) / (2 * h)
     assert np.abs(G - fd).max() / np.abs(fd).max() < 1e-5
 
@@ -180,6 +201,46 @@ def test_gradient_stationary_at_block_optimum(rng):
     B[:d, :d] = R
     xi = tangent_project(B, euclidean_gradient(StiefelBasis(matrix=B), pairs))
     assert np.linalg.norm(xi) < 1e-6
+
+
+def test_factor_form_matches_pair_matrices_on_capped_set(rng):
+    # a capped draw leaves some j with a single pair, the smallest group
+    mats = [random_unitdet(rng, 6) for _ in range(7)]
+    pairs = build_pairs(mats, cap=12, seed=4)
+    assert min(len(rows) for _, rows in pairs.groups) == 1
+    assert sum(len(rows) for _, rows in pairs.groups) == pairs.count == 12
+    B = random_basis(rng, 6, 3).matrix
+    obj, grad = 0.0, np.zeros_like(B)
+    for M in oracle_pair_matrices(mats, pairs):
+        Q = B.T @ M @ B
+        obj += np.sum(Q * Q.T)
+        grad += 4.0 * M @ B @ Q
+    assert objective(B, pairs) == pytest.approx(obj, rel=1e-12)
+    G = euclidean_gradient(B, pairs)
+    assert np.abs(G - grad).max() <= 1e-12 * np.abs(grad).max()
+
+
+def test_pair_set_rejects_repeated_pairs():
+    eyes = np.repeat(np.eye(3)[None], 2, 0)
+    with pytest.raises(ValueError, match="repeat"):
+        PairSet(indices=np.array([[0, 1], [0, 1]]), inverses=eyes, squares=eyes)
+
+
+def test_fit_memory_stays_below_pair_tensor(rng):
+    # the K pair matrices would take K n^2 8 bytes; the fit holds per-matrix
+    # factors and group-sized buffers only
+    N, n = 30, 40
+    mats = [random_unitdet(rng, n, spread=0.3) for _ in range(N)]
+    tensor_bytes = N * (N - 1) * n * n * 8
+    fit(mats[:3], 3, max_iters=1)  # modules numpy loads on first use are not the fit's
+    tracemalloc.start()
+    try:
+        model = fit(mats, 3, max_iters=3, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert model.meta["pair_count"] == N * (N - 1)
+    assert peak < tensor_bytes / 4, f"peak {peak} B against tensor {tensor_bytes} B"
 
 
 # ---------------------------------------------------------------------------
@@ -206,6 +267,29 @@ def test_fit_objective_trace_nondecreasing(rng):
     model = fit(mats, 2, seed=1, max_iters=60)
     trace = model.objective_trace
     assert np.all(np.diff(trace) >= -1e-9)
+
+
+def test_fit_stopping_rule_is_relative_to_objective(rng):
+    mats = [random_unitdet(rng, 5, spread=0.5) for _ in range(4)]
+    model = fit(mats, 2, seed=0, max_iters=300)
+    assert model.stopped_by == "tolerance" and model.converged
+    assert model.iterations < 300
+    assert model.grad_norm <= 1e-6 * model.objective_trace[-1]
+
+
+def test_fit_reports_what_ended_it(rng):
+    mats = [random_unitdet(rng, 5, spread=0.5) for _ in range(4)]
+    capped = fit(mats, 2, seed=0, max_iters=3)
+    assert capped.stopped_by == "max_iters" and not capped.converged
+    assert capped.iterations == 3
+    # the gradient norm belongs to the basis returned, after the third step
+    pairs = build_pairs(mats)
+    xi = tangent_project(capped.basis.matrix, euclidean_gradient(capped.basis, pairs))
+    assert capped.grad_norm == pytest.approx(np.linalg.norm(xi), rel=1e-12)
+    # with no tolerance the ascent runs until no step improves the objective
+    stalled = fit(mats, 2, seed=0, max_iters=1000, tol=0.0)
+    assert stalled.stopped_by == "line_search" and not stalled.converged
+    assert stalled.iterations < 1000
 
 
 def test_fit_evaluates_each_point_once(rng, monkeypatch):
@@ -372,7 +456,7 @@ def test_lemma2_consistency(rng):
     B = random_basis(rng, 5, 2)
     loss = 0.0
     energy = 0.0
-    for M in pairs.matrices:
+    for M in oracle_pair_matrices(mats, pairs):
         Qij = B.matrix.T @ M @ B.matrix
         loss += np.sum((M - B.matrix @ Qij @ B.matrix.T) ** 2)
         energy += np.sum(M * M)
