@@ -554,7 +554,6 @@ def _project_slopes(Y: np.ndarray, dt: float) -> np.ndarray:
     alone, until every sum is restored.
     """
     lo, hi = _SLOPE_MIN * dt, _SLOPE_MAX * dt
-    rows = out = None  # the rows still iterating, once some have left
     # rounding is monotone, so the bracket min(y) - hi equals min(y - hi)
     a = np.minimum.reduce(Y, axis=1) - hi
     b = np.maximum.reduce(Y, axis=1) - lo
@@ -565,29 +564,16 @@ def _project_slopes(Y: np.ndarray, dt: float) -> np.ndarray:
             u = np.minimum(np.maximum(z, lo), hi)
             excess = np.add.reduce(u, axis=1) - 1.0
             going = np.abs(excess) > 1e-15
-            n = np.count_nonzero(going)
-            if n < going.shape[0]:
-                if not n:
-                    break
-                # a finished row keeps its shift, so it recomputes the same
-                # u; it leaves once half the rows have finished
-                if 2 * n <= going.shape[0]:
-                    if out is None:
-                        rows, out = np.arange(Y.shape[0]), np.empty_like(Y)
-                    out[rows] = u
-                    rows, Y, z, u, excess, lam, a, b, going = (
-                        x[going] for x in (rows, Y, z, u, excess, lam, a, b, going)
-                    )
+            if not going.any():
+                break
             up = excess > 0
             a = np.where(up, lam, a)
             b = np.where(up, b, lam)
             # with no free entry the Newton step is infinite: bisection takes over
             nxt = lam + excess / np.add.reduce((z > lo) & (z < hi), axis=1, dtype=float)
+            # a finished row keeps its shift, so it recomputes the same u
             lam = np.where(going, np.where((a < nxt) & (nxt < b), nxt, 0.5 * (a + b)), lam)
-    if out is None:
-        return u
-    out[rows] = u
-    return out
+    return u
 
 
 class _Lanes:
@@ -668,16 +654,14 @@ class _Lanes:
         # nonmonotone Armijo test against the largest of the last 3 costs
         ref = np.maximum(self.c, np.maximum(self.c1, self.c2))
         acc = c_new <= ref + 1e-4 * self.lam * self.deriv
-        everyone = np.logical_and.reduce(acc)
+        # backtrack: safeguarded minimizer of the quadratic through c, deriv, c_new
+        back = (~acc).nonzero()[0]
+        lam, deriv = self.lam[back], self.deriv[back]
+        q = -0.5 * lam * lam * deriv / (c_new[back] - self.c[back] - lam * deriv)
+        lam = np.where((0.1 * lam <= q) & (q <= 0.9 * lam), q, 0.5 * lam)
+        self.lam[back] = lam
         stop = np.zeros(acc.shape, dtype=bool)
-        if not everyone:
-            # backtrack: safeguarded minimizer of the quadratic through c, deriv, c_new
-            back = (~acc).nonzero()[0]
-            lam, deriv = self.lam[back], self.deriv[back]
-            q = -0.5 * lam * lam * deriv / (c_new[back] - self.c[back] - lam * deriv)
-            lam = np.where((0.1 * lam <= q) & (q <= 0.9 * lam), q, 0.5 * lam)
-            self.lam[back] = lam
-            stop[back] = lam < 1e-10  # no decrease along the projected direction
+        stop[back] = lam < 1e-10  # no decrease along the projected direction
 
         # Barzilai-Borwein step size, for the lanes that moved
         s = self.trial - self.u
@@ -695,41 +679,29 @@ class _Lanes:
             alpha[first] = 0.1 * dt / np.maximum(spread, 1e-300)
             self.fresh = False
         better = c_new < self.best_c
-        if everyone:
-            self.c2, self.c1, self.c = self.c1, self.c, c_new
-            self.alpha = alpha
-            # the trial becomes the iterate: swap the two buffers
-            b = self.buffers
-            b["u"], b["trial"] = b["trial"], b["u"]
-            self.u, self.trial = self.trial, self.u
-            np.copyto(self.grad, g_new)
-        else:
-            self.c2 = np.where(acc, self.c1, self.c2)
-            self.c1 = np.where(acc, self.c, self.c1)
-            self.c = np.where(acc, c_new, self.c)
-            self.alpha = np.where(acc, alpha, self.alpha)
-            np.copyto(self.u, self.trial, where=acc[:, None])
-            np.copyto(self.grad, g_new, where=acc[:, None])
-            better &= acc
+        self.c2 = np.where(acc, self.c1, self.c2)
+        self.c1 = np.where(acc, self.c, self.c1)
+        self.c = np.where(acc, c_new, self.c)
+        self.alpha = np.where(acc, alpha, self.alpha)
+        np.copyto(self.u, self.trial, where=acc[:, None])
+        np.copyto(self.grad, g_new, where=acc[:, None])
+        better &= acc
         del g_new
         np.copyto(self.best_u, self.u, where=better[:, None])
         np.copyto(self.best_c, c_new, where=better)
         self.steps += acc
         # steps grow only when a lane moves, so these reached the cap just now
         failed = self.steps >= self.maxiter
-        capped = np.count_nonzero(failed)
 
-        rows = slice(None) if everyone and not capped else (acc & ~failed).nonzero()[0]
+        rows = (acc & ~failed).nonzero()[0]
         u, grad = self.u[rows], self.grad[rows]
-        if u.shape[0]:
-            d = _project_slopes(u - self.alpha[rows, None] * grad, dt)
-            d -= u
-            deriv = np.vecdot(grad, d)  # directional derivative along d
-            stop[rows] = -deriv <= _REFINE_RTOL * self.c[rows]
-            self.d[rows], self.deriv[rows], self.lam[rows] = d, deriv, 1.0
-            del d
-        if capped:
-            stop |= failed
+        d = _project_slopes(u - self.alpha[rows, None] * grad, dt)
+        d -= u
+        deriv = np.vecdot(grad, d)  # directional derivative along d
+        stop[rows] = -deriv <= _REFINE_RTOL * self.c[rows]
+        self.d[rows], self.deriv[rows], self.lam[rows] = d, deriv, 1.0
+        del d
+        stop |= failed
 
         owners, warps = (), ()
         if np.count_nonzero(stop):
