@@ -20,12 +20,13 @@ a geodesic's velocity is parallel along it.
 The warp search follows the fast approximation: dynamic programming over
 monotone lattice paths with local moves {(1,1), (1,2), (2,1)}, followed by a
 local refinement of the warp that removes the staircase artifacts of the
-lattice path.  The refinement is a spectral projected gradient in increment
-space: the warp increments stay in the slope window ``[1/3, 3]`` with unit
-sum, and it stops once a projected step predicts a relative change of d_q
-below 5e-8.  It is needed to reach near-zero residuals on self-warped pairs;
-the lattice path alone leaves a systematic positive residual from its
-quantized slopes.
+lattice path.  The refinement is a monotone spectral projected gradient in
+increment space: the warp increments stay in the slope window ``[1/3, 3]``
+with unit sum, a step is taken only when it lowers the cost, so the last
+iterate is the result, and it stops once a projected step predicts a
+relative change of d_q below 5e-8.  It is needed to reach near-zero
+residuals on self-warped pairs; the lattice path alone leaves a systematic
+positive residual from its quantized slopes.
 
 Aligning a to b and b to a is one problem seen from two sides, so an
 unordered pair gets one warp search: it puts the pair in a canonical order,
@@ -585,13 +586,13 @@ class _Lanes:
     space: every iterate ``u = diff(gamma)`` lies in ``{dt/3 <= u_k <= 3 dt,
     sum(u) = 1}``, so it is an endpoint-preserving warp with slopes in
     ``[_SLOPE_MIN, _SLOPE_MAX]``.  A lane starts from the projected seed,
-    takes Barzilai-Borwein steps and backtracks until the cost is below the
-    largest of its last 3 costs (a nonmonotone line search).  Its best
-    iterate is its result, so it never costs more than the projected seed.
-    It stops when the projected step predicts a decrease below
-    ``_REFINE_RTOL`` times the cost, when backtracking finds no decrease, or
-    after ``maxiter`` steps; the last is logged once, at DEBUG, as not
-    converged.
+    takes Barzilai-Borwein steps and backtracks until the Armijo test against
+    its current cost holds (a monotone line search).  Every accepted step
+    lowers the cost, so the last iterate is the lane's result, and it never
+    costs more than the projected seed.  It stops when the projected step
+    predicts a decrease below ``_REFINE_RTOL`` times the cost, when
+    backtracking finds no decrease, or after ``maxiter`` steps; the last is
+    logged once, at DEBUG, as not converged.
 
     `advance` scores the pending trial of every lane with one stacked cost
     evaluation, accepts or backtracks each lane, and projects the steps of
@@ -599,19 +600,17 @@ class _Lanes:
     it would take alone, and its row leaves the arrays when it stops.
     """
 
-    # per-lane vectors: the pending trial, the iterate and its gradient, the
-    # projected direction, and the best iterate; they live in buffers of
-    # ``capacity`` rows made once, so that the rounds allocate only
-    # temporaries and the heap does not fragment
-    _VECTORS = ("trial", "u", "grad", "d", "best_u")
+    # per-lane vectors: the pending trial, the iterate and its gradient, and
+    # the projected direction; they live in buffers of ``capacity`` rows
+    # made once, so that the rounds allocate only temporaries and the heap
+    # does not fragment
+    _VECTORS = ("trial", "u", "grad", "d")
     # per-lane scalars and their values in a new lane: caller's id, directed
     # table, steps taken (the start counts as none), the iterate's cost and
-    # next step size, the costs of the two iterates before it, directional
-    # derivative, backtracking factor, best cost.  A new lane has no costs
-    # yet: its line search's reference is +inf, so its start is taken, and
-    # the +inf shifts out with it
-    _SCALARS = {"owner": 0, "table": 0, "steps": -1, "c": -np.inf, "alpha": 0.0,
-                "c1": -np.inf, "c2": np.inf, "deriv": 0.0, "lam": 0.0, "best_c": np.inf}
+    # next step size, directional derivative, backtracking factor.  A new
+    # lane has no iterate yet: its cost is +inf, so its start is taken
+    _SCALARS = {"owner": 0, "table": 0, "steps": -1, "c": np.inf, "alpha": 0.0,
+                "deriv": 0.0, "lam": 0.0}
 
     def __init__(self, T: int, maxiter: int, capacity: int):
         self.dt = 1.0 / (T - 1)
@@ -651,9 +650,8 @@ class _Lanes:
         c_new, g_new = fg(self.trial, self.table)
         self.rounds += 1
         self.evaluations += c_new.shape[0]
-        # nonmonotone Armijo test against the largest of the last 3 costs
-        ref = np.maximum(self.c, np.maximum(self.c1, self.c2))
-        acc = c_new <= ref + 1e-4 * self.lam * self.deriv
+        # Armijo test against the iterate's cost
+        acc = c_new <= self.c + 1e-4 * self.lam * self.deriv
         # backtrack: safeguarded minimizer of the quadratic through c, deriv, c_new
         back = (~acc).nonzero()[0]
         lam, deriv = self.lam[back], self.deriv[back]
@@ -678,17 +676,11 @@ class _Lanes:
             spread = np.abs(g0 - g0.mean(axis=1, keepdims=True)).max(axis=1)
             alpha[first] = 0.1 * dt / np.maximum(spread, 1e-300)
             self.fresh = False
-        better = c_new < self.best_c
-        self.c2 = np.where(acc, self.c1, self.c2)
-        self.c1 = np.where(acc, self.c, self.c1)
         self.c = np.where(acc, c_new, self.c)
         self.alpha = np.where(acc, alpha, self.alpha)
         np.copyto(self.u, self.trial, where=acc[:, None])
         np.copyto(self.grad, g_new, where=acc[:, None])
-        better &= acc
         del g_new
-        np.copyto(self.best_u, self.u, where=better[:, None])
-        np.copyto(self.best_c, c_new, where=better)
         self.steps += acc
         # steps grow only when a lane moves, so these reached the cap just now
         failed = self.steps >= self.maxiter
@@ -707,14 +699,14 @@ class _Lanes:
         if np.count_nonzero(stop):
             out = stop.nonzero()[0]
             warps = np.zeros((out.size, self.u.shape[1] + 1))
-            np.cumsum(self.best_u[out], axis=1, out=warps[:, 1:])
+            np.cumsum(self.u[out], axis=1, out=warps[:, 1:])
             warps[:, -1] = 1.0
             owners = self.owner[out]
-            for best_c in self.best_c[failed]:
+            for c in self.c[failed]:
                 log.debug(
                     "warp refinement not converged after %d iterations (cost %.6g)",
                     self.maxiter,
-                    best_c,
+                    c,
                 )
             self.nonconverged += int(np.count_nonzero(failed))
             keep = ~stop

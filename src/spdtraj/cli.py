@@ -226,10 +226,8 @@ def _cmd_reduce(args) -> int:
     n = dims.pop()
     if not 1 <= args.d < n:
         raise CliConfigError(f"--d must satisfy 1 <= d < n={n}, got {args.d}")
-    training = []
-    for t in trajs:
-        for M in t.matrices:
-            training.append(normalize_det(M)[0])
+    training = [normalize_det(M)[0] for t in trajs for M in t.matrices]
+    del trajs  # free the loaded stacks: fit needs only the normalized copies
     man.start("fit")
     model = fit(
         training,

@@ -116,10 +116,13 @@ def log_det(P: np.ndarray) -> float:
     return float(np.sum(np.log(w)))
 
 
-def require_unit_det(P: np.ndarray, tol: float = UNIT_DET_TOL) -> None:
-    ld = log_det(P)
+def require_unit_det(P: np.ndarray, tol: float = UNIT_DET_TOL) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition ``(w, U)`` of an SPD matrix that must be unit-determinant."""
+    w, U = _eigh_pd(P)
+    ld = float(np.sum(np.log(w)))
     if abs(ld) > tol:
         raise ValueError(f"matrix is not unit-determinant: |log det| = {abs(ld):.3e}")
+    return w, U
 
 
 def normalize_det(P: np.ndarray) -> tuple[np.ndarray, float | np.ndarray]:

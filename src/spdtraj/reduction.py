@@ -25,9 +25,9 @@ from .estimation import CovarianceTrajectory
 from .geometry import (
     DimensionMismatchError,
     _eigh_pd,
+    _spectral,
     normalize_det,
     require_unit_det,
-    sym_log,
     symmetrize,
 )
 from .geometry import pair_matrix as _pair_matrix  # reduction.pair_matrix adds the checks
@@ -193,8 +193,8 @@ def _retract(B: np.ndarray) -> np.ndarray:
     return Q * s
 
 
-def _log_pca_init(mats: list[np.ndarray], d: int) -> np.ndarray:
-    L = sum(sym_log(P) for P in mats)
+def _log_pca_init(L: np.ndarray, d: int) -> np.ndarray:
+    """The top-d eigenvector basis of the summed matrix logs ``L``."""
     w, U = np.linalg.eigh(symmetrize(L))
     order = np.argsort(-np.abs(w))
     return _retract(U[:, order[:d]])
@@ -228,10 +228,15 @@ def fit(
     n = mats[0].shape[0]
     if not 1 <= d < n:
         raise ValueError(f"d must satisfy 1 <= d < n={n}, got {d}")
+    # one decomposition per matrix serves the unit-determinant check and the
+    # summed logs of the log-PCA start
+    L = 0.0
     for P in mats:
-        require_unit_det(P)
+        w, U = require_unit_det(P)
+        if init is None:
+            L = L + _spectral(U, np.log(w))
     pairs = build_pairs(mats, cap=pair_cap, seed=seed)
-    B0 = init if init is not None else _log_pca_init(mats, d)
+    B0 = init if init is not None else _log_pca_init(L, d)
     B, trace, stopped_by, gn, iters = _ascend(B0, pairs, max_iters=max_iters, tol=tol)
     return ReductionModel(
         basis=StiefelBasis(matrix=B),

@@ -573,13 +573,18 @@ def _reference_projection(y, dt):
     return u
 
 
+def _knots(u):
+    """Warp knots of one increment vector, as a lane returns them."""
+    g = np.concatenate([[0.0], np.cumsum(u)])
+    g[-1] = 1.0
+    return g
+
+
 def _reference_refinement(cost, g_init, maxiter):
-    """One refinement by the scalar spectral projected gradient: knots, best cost, converged."""
+    """One refinement by the scalar spectral projected gradient: knots, last cost, converged."""
     dt = 1.0 / (g_init.shape[0] - 1)
     u = _reference_projection(np.diff(g_init), dt)
     c, grad = cost(u)
-    best_u, best_c = u, c
-    recent = [c]
     converged = True
     alpha = 0.1 * dt / max(float(np.abs(grad - grad.mean()).max()), 1e-300)
     for _ in range(maxiter):
@@ -587,12 +592,11 @@ def _reference_refinement(cost, g_init, maxiter):
         deriv = float(grad @ d)
         if -deriv <= A._REFINE_RTOL * c:
             break
-        ref = max(recent[-3:])
         lam = 1.0
         while lam >= 1e-10:
             u_new = u + lam * d
             c_new, grad_new = cost(u_new)
-            if c_new <= ref + 1e-4 * lam * deriv:
+            if c_new <= c + 1e-4 * lam * deriv:
                 break
             q = -0.5 * lam * lam * deriv / (c_new - c - lam * deriv)
             lam = q if 0.1 * lam <= q <= 0.9 * lam else 0.5 * lam
@@ -602,14 +606,9 @@ def _reference_refinement(cost, g_init, maxiter):
         sy = float(s @ y)
         alpha = min(max(float(s @ s) / sy, 1e-12), 1e3) if sy > 0 else 1e3 * dt
         u, c, grad = u_new, c_new, grad_new
-        recent.append(c)
-        if c < best_c:
-            best_u, best_c = u, c
     else:
         converged = False
-    g = np.concatenate([[0.0], np.cumsum(best_u)])
-    g[-1] = 1.0
-    return g, best_c, converged
+    return _knots(u), c, converged
 
 
 def test_lanes_take_the_scalar_refinement_iterates(rng):
@@ -628,6 +627,48 @@ def test_lanes_take_the_scalar_refinement_iterates(rng):
             assert np.array_equal(g, ref)
         assert lanes.nonconverged == sum(not ok for _, _, ok in results)
     assert lanes.nonconverged > 0
+
+
+def test_lane_costs_never_increase_and_the_last_iterate_is_the_result():
+    # the trials every round scores are recorded; a lane that stays took its
+    # trial when its step count grew, and a lane that stops took it when it
+    # returns the trial's knots.  The accepted costs of a lane never
+    # increase, and it returns its last accepted iterate and that cost
+    gr = _block_grams(np.random.default_rng(7), 3)
+    ts = np.linspace(0.0, 1.0, 40)
+    tables = [0, 4, 1, 1, 5, 2, 3]
+    seeds = [A._presmooth_warp(ts ** (0.5 + 0.15 * k)) for k in range(len(tables))]
+    lanes = A._Lanes(40, 400, len(seeds))
+    lanes.add(np.arange(len(seeds)), tables, np.stack(seeds))
+    fg = A._cost_evaluator(gr)
+    scored = []
+
+    def recording(U, t):
+        c, grad = fg(U, t)
+        scored.append((U.copy(), c.copy()))
+        return c, grad
+
+    accepted = {o: [] for o in range(len(seeds))}  # (cost, increments) per step
+    warps = {}
+    while len(lanes):
+        before = zip(lanes.owner.tolist(), lanes.steps.tolist())
+        stopped = dict(zip(*lanes.advance(recording)))
+        after = dict(zip(lanes.owner.tolist(), lanes.steps.tolist()))
+        for (o, steps), u, c in zip(before, *scored[-1]):
+            if o in stopped:
+                warps[o] = stopped[o]
+                took = np.array_equal(stopped[o], _knots(u))
+            else:
+                took = after[o] == steps + 1
+            if took:
+                accepted[o].append((c, u))
+    assert sum(len(a) for a in accepted.values()) > 100
+    for t, o in zip(tables, accepted):
+        costs = [c for c, _ in accepted[o]]
+        assert all(b <= a for a, b in zip(costs, costs[1:]))
+        assert np.array_equal(warps[o], _knots(accepted[o][-1][1]))
+        last = _one_lane_cost(gr, t)(np.diff(warps[o]))[0]
+        assert abs(last - costs[-1]) <= 1e-12 * costs[-1]
 
 
 def test_project_slopes_rows_match_one_row_projections():

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from conftest import random_unitdet, sample_curve, smooth_unitdet_curve
+from spdtraj import alignment
 from spdtraj.estimation import CovarianceTrajectory
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -78,3 +79,33 @@ def test_tracer_counts_each_layer_and_removes_its_wrappers():
     }
     assert all(getattr(owner, name) is old for (owner, name), old in zip(wrapped, before))
     assert (log.level, log.handlers) == (level, handlers)
+
+
+def test_tracer_counts_the_record_of_a_capped_lane():
+    # the tracer counts non-converged warp refinements by the prefix of
+    # their DEBUG record: a lane stopped at its cap logs exactly one record,
+    # and the tracer's handler counts it
+    tracer_mod = _tracer_module()
+    tracer = tracer_mod.Tracer({})
+    rng = np.random.default_rng(3)
+    f1, f2 = (
+        alignment._trajectory_features(sample_curve(smooth_unitdet_curve(rng, 3), 12), False, None)
+        for _ in range(2)
+    )
+    gr = alignment._PairGrams.empty(1, 12)
+    gr.fill(0, alignment._transport_features(f1, f2), f2.q)
+    lanes = alignment._Lanes(12, 1, 1)
+    lanes.add([0], [0], np.linspace(0.0, 1.0, 12)[None] ** 2)
+    fg = alignment._cost_evaluator(gr)
+    log = logging.getLogger(alignment.__name__)
+    level, handler = log.level, tracer_mod._CountRecords(tracer)
+    log.setLevel(logging.DEBUG)
+    log.addHandler(handler)
+    try:
+        while len(lanes):
+            lanes.advance(fg)
+    finally:
+        log.removeHandler(handler)
+        log.setLevel(level)
+    assert lanes.nonconverged == 1
+    assert tracer.counts == {"alignment.refine_nonconverged": 1}
