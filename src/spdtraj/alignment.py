@@ -13,9 +13,10 @@ Both work on stacked samples.  Resampling (``resample_trajectory``,
 and evaluates all output points on it together.  The TSRVF features are
 built in one pass: each consecutive pair of samples is decomposed once,
 which gives the forward velocity and the transport rotation (transport
-backwards along a geodesic is the transpose).  The backward difference at
-the last sample, carried back to the start, equals the row before it, since
-a geodesic's velocity is parallel along it.
+backwards along a geodesic is the transpose), the latter by Newton-Schulz
+steps (`geometry.log_map_and_rotation`).  The backward difference at the
+last sample, carried back to the start, equals the row before it, since a
+geodesic's velocity is parallel along it.
 
 The warp search follows the fast approximation: dynamic programming over
 monotone lattice paths with local moves {(1,1), (1,2), (2,1)}, followed by a
@@ -41,9 +42,12 @@ together, and new pairs enter as slots free up.  Every row of a stacked
 computation is computed exactly as it would be alone, so a pair's results
 do not depend on the other pairs.
 
-Trajectories are determinant-normalized before comparison.  The scalar
-log-det track can optionally be carried along as an extra flat channel with
-weight ``w_det``.
+Trajectories are determinant-normalized before comparison, and before they
+are resampled: in exact arithmetic that is the same as after, since the
+quotient geodesic keeps the determinant at one and the log-det track
+interpolates linearly.  ``resample_trajectory`` keeps the split, so the
+features decompose no resampled sample again.  The scalar log-det track can
+optionally be carried along as an extra flat channel with weight ``w_det``.
 """
 from __future__ import annotations
 
@@ -53,11 +57,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .estimation import CovarianceTrajectory, normalize_trajectory
+from .estimation import (
+    CovarianceTrajectory,
+    _built,
+    _require_pd_samples,
+    normalize_trajectory,
+)
 from .geometry import (
     DimensionMismatchError,
+    _geodesic_points,
     dist_unitdet,
-    geodesic_points,
     log_map,  # unused here; perfbench/tracer.py wraps alignment.log_map
     log_map_and_rotation,
     transport_rotation,
@@ -139,12 +148,13 @@ class TrajectoryPair:
             )
 
 
-def _evaluate(traj: CovarianceTrajectory, s: np.ndarray) -> np.ndarray:
+def _evaluate(traj: CovarianceTrajectory, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Trajectory values at times ``s`` by geodesic interpolation of stored samples.
 
     Points within 1e-12 (relative to their interval) of a stored sample take
     that sample; the others are interpolated, decomposing each input
-    interval once for all points on it.
+    interval once for all points on it.  Also returns the smallest
+    eigenvalue of each interpolated value, and inf for a stored sample.
     """
     times, mats = traj.times, traj.matrices
     bad = (s < times[0] - 1e-12) | (s > times[-1] + 1e-12)
@@ -152,26 +162,35 @@ def _evaluate(traj: CovarianceTrajectory, s: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"time {s[bad][0]} outside trajectory range [{times[0]}, {times[-1]}]"
         )
+    smallest = np.full(s.size, np.inf)
     if traj.length == 1:
-        return np.repeat(mats, s.size, axis=0)
+        return np.repeat(mats, s.size, axis=0), smallest
     s = np.clip(s, times[0], times[-1])
     k = np.clip(np.searchsorted(times, s, side="right") - 1, 0, traj.length - 2)
     u = (s - times[k]) / (times[k + 1] - times[k])
     inner = (u > 1e-12) & (u < 1 - 1e-12)
     ks, pair = np.unique(k[inner], return_inverse=True)
-    points = geodesic_points(mats[ks], mats[ks + 1], pair, u[inner])
+    points, smallest[inner] = _geodesic_points(mats[ks], mats[ks + 1], pair, u[inner])
     out = mats[np.where(u >= 1 - 1e-12, k + 1, k)]
     out[inner] = points
-    return out
+    return out, smallest
 
 
 def evaluate_trajectory(traj: CovarianceTrajectory, s: float) -> np.ndarray:
     """Trajectory value at time ``s`` by geodesic interpolation of stored samples."""
-    return _evaluate(traj, np.array([float(s)]))[0]
+    return _evaluate(traj, np.array([float(s)]))[0][0]
 
 
 def resample_trajectory(traj: CovarianceTrajectory, T_out: int) -> CovarianceTrajectory:
-    """Geodesic resampling onto a uniform grid of ``T_out`` points."""
+    """Geodesic resampling onto a uniform grid of ``T_out`` points.
+
+    The input samples are determinant-normalized first: their
+    unit-determinant parts are resampled on the quotient geodesic and the
+    log-det track linearly, which in exact arithmetic is the geodesic of
+    the samples themselves (`geometry.geodesic_points`).  The result carries
+    that split, so `normalize_trajectory` decomposes none of its samples
+    again, and its arrays are read-only.
+    """
     if T_out < 1:
         raise ValueError("T_out must be positive")
     if T_out == traj.length and np.allclose(
@@ -179,7 +198,16 @@ def resample_trajectory(traj: CovarianceTrajectory, T_out: int) -> CovarianceTra
     ):
         return traj
     s_new = np.linspace(traj.times[0], traj.times[-1], T_out) if T_out > 1 else traj.times[:1]
-    return CovarianceTrajectory(matrices=_evaluate(traj, s_new))
+    unit, track = normalize_trajectory(traj)
+    units, smallest = _evaluate(unit, s_new)
+    track = np.interp(s_new, traj.times, track)
+    scale = np.exp(track)
+    _require_pd_samples(smallest * scale)  # the stored samples were checked
+    mats = units * scale[:, None, None]
+    times = np.linspace(0.0, 1.0, T_out) if T_out > 1 else np.zeros(1)
+    for a in (mats, units, track, times):
+        a.flags.writeable = False
+    return _built(mats, times, split=(_built(units, times), track))
 
 
 @dataclass(frozen=True)
@@ -274,14 +302,6 @@ def _start_gap_sq(f1: _Features, f2: _Features) -> float:
     return out
 
 
-def _common_grid(pair: TrajectoryPair, T: int | None = None) -> tuple[
-    CovarianceTrajectory, CovarianceTrajectory
-]:
-    if T is None:
-        T = max(pair.first.length, pair.second.length)
-    return resample_trajectory(pair.first, T), resample_trajectory(pair.second, T)
-
-
 def _swap_to_canonical(f1: _Features, f2: _Features) -> bool:
     """True when ``(f2, f1)`` is the canonical order of the pair.
 
@@ -321,13 +341,12 @@ def dist_dc(
     the baseline geodesic; the integral uses the trapezoid rule on the common
     grid (the longer of the two lengths).
     """
-    a1, a2 = _common_grid(pair)
-    if a1.length == 1:
-        f1 = _point_features(a1, include_logdet, w_det)
-        f2 = _point_features(a2, include_logdet, w_det)
-        return float(np.sqrt(_start_gap_sq(f1, f2)))
-    f1 = _trajectory_features(a1, include_logdet, w_det)
-    f2 = _trajectory_features(a2, include_logdet, w_det)
+    T = max(pair.first.length, pair.second.length)
+    features = _trajectory_features if T > 1 else _point_features
+    f1, f2 = (
+        features(resample_trajectory(tr, T), include_logdet, w_det)
+        for tr in (pair.first, pair.second)
+    )
     return _dc_from_features(f1, f2)
 
 
@@ -883,9 +902,10 @@ def align_dq(
     """
     if grid < 2:
         raise ValueError("alignment grid must be at least 2")
-    a1, a2 = _common_grid(pair, grid)
-    f1 = _trajectory_features(a1, include_logdet, w_det)
-    f2 = _trajectory_features(a2, include_logdet, w_det)
+    f1, f2 = (
+        _trajectory_features(resample_trajectory(tr, grid), include_logdet, w_det)
+        for tr in (pair.first, pair.second)
+    )
     [(dq, _, warp, _, _)], _ = _dq_from_features([(f1, f2)])
     return dq, warp
 
@@ -895,7 +915,7 @@ def apply_warp(traj: CovarianceTrajectory, warp: WarpingFunction) -> CovarianceT
     ts = traj.times
     span = ts[-1] - ts[0]
     s = ts[0] + span * warp((ts - ts[0]) / span)
-    return CovarianceTrajectory(matrices=_evaluate(traj, s), times=ts.copy())
+    return CovarianceTrajectory(matrices=_evaluate(traj, s)[0], times=ts.copy())
 
 
 def random_warp(T: int, roughness: float, seed: int) -> WarpingFunction:

@@ -31,7 +31,7 @@ from .analysis import (
     distance_matrix,
     offdiag_pairs,
 )
-from .estimation import CovarianceTrajectory, logdet_curve
+from .estimation import CovarianceTrajectory, _built, logdet_curve
 from .geometry import NotPositiveDefiniteError, normalize_det
 from .reduction import fit
 from .simgen import Exp1Config, Exp2Config, derived_rng, gen_exp1, gen_exp2, gen_two_class
@@ -86,7 +86,10 @@ def _check_grid(grid: int) -> None:
 
 
 def _load_items(paths: list[str], items_mode: str):
-    """Load SPDT archives as items: whole trajectories or individual matrices."""
+    """Load SPDT archives as items: whole trajectories or individual matrices.
+
+    The loader has checked every matrix, so a matrix item is not checked again.
+    """
     ids, trajs = [], []
     for p in paths:
         traj = io.load_trajectory(p)
@@ -94,7 +97,7 @@ def _load_items(paths: list[str], items_mode: str):
         if items_mode == "matrices":
             for k in range(traj.length):
                 ids.append(f"{stem}:{k}")
-                trajs.append(CovarianceTrajectory(matrices=traj.matrices[k : k + 1]))
+                trajs.append(_built(traj.matrices[k : k + 1], np.zeros(1)))
         else:
             ids.append(stem)
             trajs.append(traj)

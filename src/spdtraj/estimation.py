@@ -75,10 +75,18 @@ class ShrinkageDiagnostics:
 
 @dataclass(frozen=True)
 class CovarianceTrajectory:
-    """A time-indexed sequence of SPD matrices on a grid normalized to [0, 1]."""
+    """A time-indexed sequence of SPD matrices on a grid normalized to [0, 1].
+
+    The constructor symmetrizes the matrices and rejects any whose smallest
+    eigenvalue is below EPS_PD.  Trajectories that the library builds from
+    checked ones skip that second decomposition (`_built`).
+    """
 
     matrices: np.ndarray  # (T, n, n)
     times: np.ndarray = field(default=None)  # type: ignore[assignment]
+    # (unit-determinant trajectory, log-det track) when the routine that made
+    # it had them; `normalize_trajectory` returns them without decomposing again
+    _split: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         mats = np.asarray(self.matrices, dtype=float)
@@ -94,9 +102,7 @@ class CovarianceTrajectory:
         if T > 1 and not np.all(np.diff(times) > 0):
             raise ValueError("times must be strictly increasing")
         mats = symmetrize(mats)  # a new array: the caller's stays untouched
-        bad = np.flatnonzero(np.linalg.eigvalsh(mats)[:, 0] < EPS_PD)
-        if bad.size:
-            raise ValueError(f"trajectory matrix {bad[0]} is not positive definite")
+        _require_pd_samples(np.linalg.eigvalsh(mats)[:, 0])
         object.__setattr__(self, "matrices", mats)
         object.__setattr__(self, "times", times)
 
@@ -107,6 +113,29 @@ class CovarianceTrajectory:
     @property
     def dim(self) -> int:
         return self.matrices.shape[1]
+
+
+def _require_pd_samples(smallest: np.ndarray) -> None:
+    """Reject a trajectory by the smallest eigenvalue of each of its matrices."""
+    bad = np.flatnonzero(smallest < EPS_PD)
+    if bad.size:
+        raise ValueError(f"trajectory matrix {bad[0]} is not positive definite")
+
+
+def _built(
+    matrices: np.ndarray, times: np.ndarray, split: tuple | None = None
+) -> CovarianceTrajectory:
+    """A trajectory of exactly symmetric matrices that the library built from checked ones.
+
+    The calling routine has already made the constructor's rejection from
+    eigenvalues it computed on the way, so the matrices are neither
+    symmetrized nor decomposed again.  ``split`` is the trajectory's
+    determinant split when that routine has it.
+    """
+    traj = object.__new__(CovarianceTrajectory)
+    for name, value in (("matrices", matrices), ("times", times), ("_split", split)):
+        object.__setattr__(traj, name, value)
+    return traj
 
 
 def ledoit_wolf(X: np.ndarray) -> tuple[np.ndarray, ShrinkageDiagnostics]:
@@ -242,9 +271,16 @@ def logdet_curve(traj: CovarianceTrajectory) -> np.ndarray:
 def normalize_trajectory(
     traj: CovarianceTrajectory,
 ) -> tuple[CovarianceTrajectory, np.ndarray]:
-    """Pointwise determinant normalization; returns the log-det track too."""
+    """Pointwise determinant normalization; returns the log-det track too.
+
+    A unit-determinant part with an eigenvalue below EPS_PD is rejected
+    (`geometry.normalize_det`).  A trajectory that carries its split, as a
+    resampled one does, is not decomposed again.
+    """
+    if traj._split is not None:
+        return traj._split
     mats, track = normalize_det(traj.matrices)
-    return CovarianceTrajectory(matrices=mats, times=traj.times.copy()), track
+    return _built(mats, traj.times.copy()), track
 
 
 def pca_reduce_timeseries(

@@ -21,10 +21,14 @@ transport from ``P1`` to ``P2`` is conjugation by the orthogonal matrix
 All of these come from one matrix per pair, ``M = P1^-1 P2^2 P1^-1``
 (`pair_matrix`), and its eigendecomposition: the distance from its
 eigenvalues, the log map ``log(M)/2``, the geodesic ``sqrt(P1 M^t P1)`` and
-the transport rotation as the polar factor of ``P2^-1 P1 M^(1/2)``.  The
-pair kernels and the matrix functions take stacks ``(..., n, n)`` (the
-Geomstats convention; Miolane et al., JMLR 21, 2020), so a trajectory's
-consecutive pairs are decomposed in one call, once each.
+the transport rotation as the polar factor of ``P2^-1 P1 M^(1/2)``.  That
+matrix is orthogonal in exact arithmetic, so its polar factor is reached by
+Newton-Schulz steps ``X <- X (3I - X^T X) / 2`` (Bjorck & Bowie, SIAM J.
+Numer. Anal. 8(2), 1971; Higham, *Functions of Matrices*, 2008, ch. 8), two
+matrix products each, not by an SVD.  The pair kernels and the matrix
+functions take stacks ``(..., n, n)`` (the Geomstats convention; Miolane et
+al., JMLR 21, 2020), so a trajectory's consecutive pairs are decomposed in
+one call, once each.
 """
 from __future__ import annotations
 
@@ -36,6 +40,13 @@ EPS_PD = 1e-12
 UNIT_DET_TOL = 1e-8
 # |trace| tolerance for tangent coordinates at a unit-determinant base.
 TRACE_TOL = 1e-8
+# A transport rotation whose raw ||O^T O - I||_F reaches this is rejected:
+# Newton-Schulz converges only for singular values in (0, sqrt 3), and this
+# keeps them in (0.7, 1.3).
+ORTHO_DEFECT_MAX = 0.5
+# Newton-Schulz about squares the defect per step, so one more step from
+# below this leaves it at roundoff.
+_NS_LAST_STEP = 1e-8
 
 
 class NotPositiveDefiniteError(ValueError):
@@ -68,12 +79,12 @@ def check_same_dim(A: np.ndarray, B: np.ndarray) -> None:
         raise DimensionMismatchError(f"dimension mismatch: {A.shape} vs {B.shape}")
 
 
-def _require_pd(w: np.ndarray) -> None:
+def _require_pd(w: np.ndarray, what: str = "matrix") -> None:
     """Reject ascending eigenvalue rows ``(..., n)`` whose smallest is below EPS_PD."""
     wmin = w[..., 0].min(initial=np.inf)
     if wmin < EPS_PD:
         raise NotPositiveDefiniteError(
-            f"matrix is not positive definite: smallest eigenvalue {wmin:.6e} "
+            f"{what} is not positive definite: smallest eigenvalue {wmin:.6e} "
             f"< {EPS_PD:.0e}"
         )
 
@@ -130,11 +141,14 @@ def normalize_det(P: np.ndarray) -> tuple[np.ndarray, float | np.ndarray]:
 
     Returns ``(P / det(P)^(1/n), log det(P) / n)``: a float channel for one
     matrix, an array of them for a stack.  The determinant is taken through
-    log-eigenvalues, never a direct product.
+    log-eigenvalues, never a direct product.  A unit-determinant part with
+    an eigenvalue below EPS_PD is rejected like a non-SPD input.
     """
     w, U = _eigh_pd(P)
     channel = np.mean(np.log(w), axis=-1)
-    unit = _spectral(U, w * np.exp(-channel)[..., None])
+    w = w * np.exp(-channel)[..., None]
+    _require_pd(w, "unit-determinant part")
+    unit = _spectral(U, w)
     return unit, float(channel) if channel.ndim == 0 else channel
 
 
@@ -189,16 +203,42 @@ def log_map_and_rotation(
 
     One decomposition of each pair matrix gives both; this is what a
     trajectory's consecutive samples need.  The rotation ``O = P2^-1 P1
-    M^(1/2)`` is orthogonal in exact arithmetic; it is re-projected onto the
-    orthogonal group by polar factorization.  Inputs are not checked.
+    M^(1/2)`` is orthogonal in exact arithmetic; Newton-Schulz steps carry
+    it to its polar factor (`_polar_factor`).  A pair whose raw ``O`` is
+    too far from orthogonal for them, ``||O^T O - I||_F >=
+    ORTHO_DEFECT_MAX``, is too ill-conditioned for its rotation to mean
+    anything, and raises ValueError.  Inputs are not checked otherwise.
     """
     w, U = _eigh_pd(pair_matrix(P1, P2))
     V = _spectral(U, 0.5 * np.log(w))
     O = P1 @ _spectral(U, np.sqrt(w))
     del U  # stacks can be large: hold at most four at a time
     O = np.linalg.solve(P2, O)
-    u, _, vt = np.linalg.svd(O)
-    return V, np.matmul(u, vt, out=O)
+    return V, _polar_factor(O)
+
+
+def _polar_factor(X: np.ndarray) -> np.ndarray:
+    """Orthogonal polar factors of nearly orthogonal matrices ``(..., n, n)``, in place.
+
+    Newton-Schulz steps ``X <- X - X (X^T X - I) / 2`` on the whole stack:
+    at least one, and one more after the largest ``||X^T X - I||_F`` falls
+    below `_NS_LAST_STEP`, which leaves it at roundoff.
+    """
+    eye = np.eye(X.shape[-1])
+    while True:
+        E = _mT(X) @ X
+        E -= eye
+        defect = float(np.linalg.norm(E, axis=(-2, -1)).max(initial=0.0))
+        if not defect < ORTHO_DEFECT_MAX:  # NaN too
+            raise ValueError(
+                f"transport rotation is not orthogonal (||O^T O - I|| = {defect:.3e}): "
+                f"the pair is too ill-conditioned"
+            )
+        E = X @ E  # the step; stacks can be large: hold at most three at a time
+        E *= 0.5
+        X -= E
+        if defect <= _NS_LAST_STEP:
+            return X
 
 
 def geodesic_points(
@@ -211,6 +251,13 @@ def geodesic_points(
     quotient geodesic while the log-det channel interpolates linearly.  Each
     pair is decomposed once, however many points lie on it.
     """
+    return _geodesic_points(P1, P2, pair, t)[0]
+
+
+def _geodesic_points(
+    P1: np.ndarray, P2: np.ndarray, pair: np.ndarray, t: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """`geodesic_points` and the smallest eigenvalue of each point."""
     w, U = _eigh_pd(pair_matrix(P1, P2))
     X = _spectral(U[pair], w[pair] ** t[:, None])
     A = P1[pair]
@@ -219,7 +266,8 @@ def geodesic_points(
     del A  # stacks can be large: hold at most three at a time
     w, U = _eigh_pd(X)
     del X
-    return _spectral(U, np.sqrt(w))
+    w = np.sqrt(w)
+    return _spectral(U, w), w[:, 0]
 
 
 def log_map(P1: np.ndarray, P2: np.ndarray) -> np.ndarray:
@@ -299,8 +347,9 @@ def transport_rotation(P1: np.ndarray, P2: np.ndarray) -> np.ndarray:
     """Orthogonal matrix O realizing parallel transport P1 -> P2 by conjugation.
 
     In identity-chart coordinates the transported vector is ``O V O^T``.
-    O = P2^-1 P1 P12 is orthogonal in exact arithmetic; it is re-projected
-    onto the orthogonal group by polar factorization for numerical hygiene.
+    O = P2^-1 P1 P12 is orthogonal in exact arithmetic; Newton-Schulz steps
+    carry it to its polar factor, and a pair too ill-conditioned for that
+    raises ValueError (`log_map_and_rotation`).
     """
     P1 = check_square(P1, "P1")
     P2 = check_square(P2, "P2")

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from spdtraj.estimation import CovarianceTrajectory
-from spdtraj.geometry import sym_exp, symmetrize
+from spdtraj.geometry import EPS_PD, pair_matrix, sym_exp, symmetrize
 
 
 def random_sym(rng, n, scale=1.0):
@@ -58,6 +58,37 @@ def smooth_warp_fn(rng, strength=0.35, modes=2):
         return t + sum(a[j - 1] * np.sin(np.pi * j * t) for j in range(1, modes + 1))
 
     return g
+
+
+def raw_rotation(P1, P2):
+    """``O = P2^-1 P1 M^(1/2)`` before any re-projection, from its definition."""
+    w, U = np.linalg.eigh(pair_matrix(P1, P2))
+    root = (U * np.sqrt(np.maximum(w, 0.0))[..., None, :]) @ np.swapaxes(U, -1, -2)
+    return np.linalg.solve(P2, P1 @ root)
+
+
+def ortho_defect(X):
+    """Largest entry of ``|X^T X - I|`` over a stack."""
+    return float(np.abs(np.swapaxes(X, -1, -2) @ X - np.eye(X.shape[-1])).max())
+
+
+def spread_unitdet_pair(n, cond, seed, defect_range):
+    """A random unit-determinant pair, eigenvalues spread over ``cond``.
+
+    The first one whose pair matrix passes the positive-definiteness check
+    and whose raw rotation's defect lies in ``defect_range``.
+    """
+    rng = np.random.default_rng(seed)
+    ev = np.exp(np.linspace(-0.5, 0.5, n) * np.log(cond))
+    while True:
+        P1, P2 = (
+            symmetrize((Q * ev) @ Q.T)
+            for Q in (np.linalg.qr(rng.normal(size=(n, n)))[0] for _ in range(2))
+        )
+        if np.linalg.eigh(pair_matrix(P1, P2))[0][0] < EPS_PD:
+            continue
+        if defect_range[0] <= ortho_defect(raw_rotation(P1, P2)) < defect_range[1]:
+            return P1, P2
 
 
 @pytest.fixture

@@ -393,9 +393,10 @@ def test_align_dq_rejects_tiny_grid(rng):
 
 def _grams_and_seed(pair, grid=100):
     """Gram tables of a one-pair block and the smoothed lattice seed its forward refinement gets."""
-    a1, a2 = A._common_grid(pair, grid)
-    f1 = A._trajectory_features(a1, False, None)
-    f2 = A._trajectory_features(a2, False, None)
+    f1, f2 = (
+        A._trajectory_features(resample_trajectory(t, grid), False, None)
+        for t in (pair.first, pair.second)
+    )
     gr = A._PairGrams.empty(1, grid)
     gr.fill(0, A._transport_features(f1, f2), f2.q)
     dt = 1.0 / (grid - 1)
@@ -854,6 +855,42 @@ def test_resample_trajectory_refines_smoothly(rng):
         for k, t in enumerate(np.linspace(0, 1, 55))
     ]
     assert max(errs) < 0.05
+
+
+def test_normalizing_before_resampling_matches_the_other_order():
+    # resample_trajectory normalizes the input samples, then resamples; the
+    # other order resamples the general trajectory and normalizes each
+    # resampled sample.  They agree in exact arithmetic.
+    from spdtraj.simgen import Exp2Config, gen_exp2, gen_two_class
+
+    exp2, _, _ = gen_exp2(Exp2Config(n=100, seed=0))
+    twoclass = gen_two_class(1, 6, 15, separation=2.0, seed=0).trajectories[0]
+    # its samples are unit-determinant: a varying scale gives the log-det
+    # channel something to carry
+    scale = np.exp(np.sin(3.0 * twoclass.times))[:, None, None]
+    twoclass = CovarianceTrajectory(matrices=twoclass.matrices * scale)
+    grid = np.linspace(0.0, 1.0, 100)
+    for traj in (exp2, twoclass):
+        general = CovarianceTrajectory(
+            matrices=np.array([evaluate_trajectory(traj, s) for s in grid])
+        )
+        resampled = resample_trajectory(traj, 100)
+        for include_logdet in (False, True):
+            new = A._trajectory_features(resampled, include_logdet, None)
+            old = A._trajectory_features(general, include_logdet, None)
+            assert np.abs(new.q - old.q).max() <= 1e-10 * np.abs(old.q).max()
+            assert np.abs(new.start - old.start).max() <= 1e-10 * np.abs(old.start).max()
+            assert new.start_logdet == pytest.approx(old.start_logdet, abs=1e-12)
+
+
+def test_unit_part_below_eps_pd_is_still_rejected():
+    # every matrix passes the positive-definiteness check, but no unit part
+    # does; the error is a ValueError whether or not resampling moves points
+    mats = np.array([np.diag([1.5e-12, 1e8, s]) for s in (1e8, 2e8, 3e8)])
+    traj = CovarianceTrajectory(matrices=mats)
+    for grid in (3, 5):
+        with pytest.raises(ValueError, match="not positive definite"):
+            A._trajectory_features(resample_trajectory(traj, grid), False, None)
 
 
 def test_presmooth_warp_cached_kernel_matches_inline_formula(rng):

@@ -161,6 +161,24 @@ def test_distance_mixed_dims_exit_2(tmp_path, twoclass_dir, capsys):
         ]
 
 
+def test_distance_ill_conditioned_pair_exit_1(tmp_path, capsys):
+    # consecutive samples whose transport rotation is no rotation at all
+    from conftest import spread_unitdet_pair
+    from spdtraj.estimation import CovarianceTrajectory
+
+    bad = CovarianceTrajectory(matrices=np.stack(spread_unitdet_pair(3, 1e7, 0, (0.5, np.inf))))
+    good = CovarianceTrajectory(matrices=np.stack([np.eye(3), np.diag([2.0, 1.0, 0.5])]))
+    paths = [tmp_path / "bad.spdt", tmp_path / "good.spdt"]
+    for path, traj in zip(paths, (bad, good)):
+        io.save_trajectory(path, traj)
+    capsys.readouterr()
+    argv = ["distance", *map(str, paths), "--metric", "dc", "--grid", "2",
+            "--out", str(tmp_path / "d.csv")]
+    assert run(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: transport rotation is not orthogonal")
+
+
 def test_distance_point_and_trajectory_match_constant_copy(tmp_path, rng):
     # a single matrix in a collection with trajectories is compared as the
     # constant trajectory it resamples to, in either listing order

@@ -3,10 +3,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
-from conftest import random_sym, random_tracefree, random_unitdet
+from conftest import (
+    ortho_defect,
+    random_sym,
+    random_tracefree,
+    random_unitdet,
+    raw_rotation,
+    spread_unitdet_pair,
+)
 from spdtraj.geometry import (
     DimensionMismatchError,
     NotPositiveDefiniteError,
+    _polar_factor,
     dist_full,
     dist_unitdet,
     exp_map,
@@ -14,12 +22,14 @@ from spdtraj.geometry import (
     log_det,
     log_euclidean_dist,
     log_map,
+    log_map_and_rotation,
     normalize_det,
     parallel_transport,
     sym_exp,
     sym_log,
     sym_sqrt,
     symmetrize,
+    transport_rotation,
 )
 
 
@@ -91,6 +101,13 @@ def test_normalize_det_recombination(rng):
     unit, channel = normalize_det(P)
     np.testing.assert_allclose(np.exp(channel) * unit, P, rtol=1e-10)
     assert abs(log_det(unit)) < 1e-8
+
+
+def test_normalize_det_rejects_a_unit_part_below_eps_pd():
+    # P passes the positive-definiteness check, its unit part does not
+    P = np.diag([1.5e-12, 1e8, 1e8])
+    with pytest.raises(NotPositiveDefiniteError, match="unit-determinant part"):
+        normalize_det(P)
 
 
 def test_normalize_det_large_scale_no_overflow():
@@ -327,6 +344,59 @@ def test_transport_dimension_mismatch(rng):
     V = random_tracefree(rng, 3)
     with pytest.raises(DimensionMismatchError):
         parallel_transport(V, P1, np.eye(4))
+
+
+# ---------------------------------------------------------------------------
+# the transport rotation's polar step
+
+
+def _svd_polar(X):
+    u, _, vt = np.linalg.svd(X)
+    return u @ vt
+
+
+def test_polar_step_on_the_exp2_transport_stack():
+    # the consecutive samples of exp2's n=100 trajectory on a 100-point grid:
+    # the raw rotations are orthogonal to roundoff already
+    from spdtraj.alignment import resample_trajectory
+    from spdtraj.estimation import normalize_trajectory
+    from spdtraj.simgen import Exp2Config, gen_exp2
+
+    smooth, _, _ = gen_exp2(Exp2Config(n=100, seed=0))
+    unit, _ = normalize_trajectory(resample_trajectory(smooth, 100))
+    P1, P2 = unit.matrices[:-1], unit.matrices[1:]
+    raw = raw_rotation(P1, P2)
+    assert ortho_defect(raw) < 1e-13
+    assert ortho_defect(log_map_and_rotation(P1, P2)[1]) <= 1e-15
+    O = _polar_factor(raw.copy())
+    assert ortho_defect(O) <= 1e-15
+    assert np.abs(O - _svd_polar(raw)).max() <= 2e-15
+
+
+def test_polar_step_iterates_to_roundoff():
+    # cond 1e4 at n=6: one Newton-Schulz step is not enough
+    P1, P2 = spread_unitdet_pair(6, 1e4, 0, (1e-5, 1e-2))
+    raw = raw_rotation(P1, P2)
+    one_step = raw - 0.5 * raw @ (raw.T @ raw - np.eye(6))
+    assert ortho_defect(one_step) > 1e-12
+    O = _polar_factor(raw.copy())
+    assert ortho_defect(O) <= 1e-14
+    assert np.abs(O - _svd_polar(raw)).max() <= 1e-12
+    # the library's own raw O differs from this one by roundoff, which the
+    # pair's conditioning amplifies; its polar factor is orthogonal all the same
+    assert ortho_defect(log_map_and_rotation(P1[None], P2[None])[1]) <= 1e-14
+    assert ortho_defect(transport_rotation(P1, P2)) <= 1e-14
+
+
+@pytest.mark.parametrize("n, cond", [(3, 1e7), (30, 1e5)])
+def test_rotation_far_from_orthogonal_is_rejected(n, cond):
+    # these pairs pass the positive-definiteness checks, but their raw O is
+    # no rotation; its polar factor would be a silently wrong transport
+    P1, P2 = spread_unitdet_pair(n, cond, 0, (0.5, np.inf))
+    with pytest.raises(ValueError, match="not orthogonal"):
+        log_map_and_rotation(P1[None], P2[None])
+    with pytest.raises(ValueError, match="not orthogonal"):
+        transport_rotation(P1, P2)
 
 
 # ---------------------------------------------------------------------------
