@@ -215,6 +215,7 @@ class _Features:
     """Flattened TSRVF features of a normalized trajectory."""
 
     start: np.ndarray  # unit-determinant start matrix
+    start_inv: np.ndarray  # its inverse, computed once for all of the item's pairs
     start_logdet: float
     q: np.ndarray  # (T, n*n [+1]) flattened feature rows
     n: int
@@ -270,8 +271,10 @@ def _trajectory_features(
     if include_logdet:
         qs = (np.sqrt(w_det) * sdot * scale)[:, None]
         flat = np.concatenate([flat, qs], axis=1)
+    start = unit.matrices[0].copy()  # a view would keep the whole stack alive
     return _Features(
-        start=unit.matrices[0].copy(),  # a view would keep the whole stack alive
+        start=start,
+        start_inv=np.linalg.inv(start),
         start_logdet=float(track[0]),
         q=flat,
         n=n,
@@ -293,7 +296,7 @@ def _transport_features(f1: _Features, f2: _Features) -> np.ndarray:
 
 
 def _start_gap_sq(f1: _Features, f2: _Features) -> float:
-    lx = dist_unitdet(f1.start, f2.start)
+    lx = dist_unitdet(f1.start, f2.start, (f1.start_inv, f2.start_inv))
     out = lx * lx
     if f1.with_logdet:
         n = f1.n
@@ -317,11 +320,11 @@ def _swap_to_canonical(f1: _Features, f2: _Features) -> bool:
 
 
 def _dc_from_features(f1: _Features, f2: _Features) -> float:
+    T = f1.q.shape[0]
+    if T == 1:  # the start gap is exactly symmetric on its own
+        return float(np.sqrt(_start_gap_sq(f1, f2)))
     if _swap_to_canonical(f1, f2):
         f1, f2 = f2, f1
-    T = f1.q.shape[0]
-    if T == 1:
-        return float(np.sqrt(_start_gap_sq(f1, f2)))
     q1p = _transport_features(f1, f2)
     diff = ((q1p - f2.q) ** 2).sum(axis=1)
     integral = float(np.trapezoid(diff, dx=1.0 / (T - 1)))
@@ -355,8 +358,10 @@ def _point_features(
 ) -> _Features:
     unit, track = normalize_trajectory(traj)
     n = unit.dim
+    start = unit.matrices[0]
     return _Features(
-        start=unit.matrices[0],
+        start=start,
+        start_inv=np.linalg.inv(start),
         start_logdet=float(track[0]),
         q=np.zeros((1, n * n)),
         n=n,

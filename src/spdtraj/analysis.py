@@ -100,7 +100,8 @@ def distance_matrix(
 
     ``dc`` and ``dq`` compare TSRVF features on one grid for the whole
     collection: when every item is a single matrix, the features are points
-    and both metrics are the start-point distance; otherwise every item is
+    and both metrics are the start-point distance, from each point's inverse
+    computed once with its features; otherwise every item is
     resampled to ``grid`` samples, so a single matrix becomes a constant
     trajectory, as in `dist_dc`.  ``logeuclidean`` resamples every item to
     the longest item's length.

@@ -89,7 +89,17 @@ def _load_items(paths: list[str], items_mode: str):
     """Load SPDT archives as items: whole trajectories or individual matrices.
 
     The loader has checked every matrix, so a matrix item is not checked again.
+    An item's id starts with its archive's file stem, so two archives with
+    one stem are rejected before any is read.
     """
+    seen: dict[str, str] = {}
+    for p in paths:
+        stem = Path(p).stem
+        if stem in seen:
+            raise CliConfigError(
+                f"duplicate item id {stem!r}: inputs {seen[stem]} and {p} share a file stem"
+            )
+        seen[stem] = p
     ids, trajs = [], []
     for p in paths:
         traj = io.load_trajectory(p)

@@ -28,7 +28,10 @@ Numer. Anal. 8(2), 1971; Higham, *Functions of Matrices*, 2008, ch. 8), two
 matrix products each, not by an SVD.  The pair kernels and the matrix
 functions take stacks ``(..., n, n)`` (the Geomstats convention; Miolane et
 al., JMLR 21, 2020), so a trajectory's consecutive pairs are decomposed in
-one call, once each.
+one call, once each.  A stack of pairs solves for ``Y = P1^-1 P2``, one LU
+per pair; the distance takes ``Y`` from the first operand's inverse instead,
+which a collection computes once per item, not once per pair
+(`dist_unitdet`).
 """
 from __future__ import annotations
 
@@ -190,7 +193,11 @@ def pair_matrix(P1: np.ndarray, P2: np.ndarray) -> np.ndarray:
     M is symmetric by construction and positive definite for nonsingular
     ``P2``; every pair quantity of the quotient metric derives from it.
     """
-    Y = np.linalg.solve(P1, P2)
+    return _gram(np.linalg.solve(P1, P2))
+
+
+def _gram(Y: np.ndarray) -> np.ndarray:
+    """``Y Y^T``, exactly symmetric: the pair matrix from ``Y = P1^-1 P2``."""
     M = Y @ _mT(Y)
     del Y  # stacks can be large: hold at most two at a time
     return symmetrize(M)
@@ -257,16 +264,22 @@ def geodesic_points(
 def _geodesic_points(
     P1: np.ndarray, P2: np.ndarray, pair: np.ndarray, t: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """`geodesic_points` and the smallest eigenvalue of each point."""
+    """`geodesic_points` and the smallest eigenvalue of each point.
+
+    A point is rejected by its own eigenvalues, not by those of its square
+    ``A M^t A``; a square's eigenvalue that roundoff takes below zero reads
+    as a zero eigenvalue of the point.
+    """
     w, U = _eigh_pd(pair_matrix(P1, P2))
     X = _spectral(U[pair], w[pair] ** t[:, None])
     A = P1[pair]
     X = A @ X
     X = X @ A
     del A  # stacks can be large: hold at most three at a time
-    w, U = _eigh_pd(X)
+    w, U = np.linalg.eigh(symmetrize(X))
     del X
-    w = np.sqrt(w)
+    w = np.sqrt(np.maximum(w, 0.0))
+    _require_pd(w, "geodesic point")
     return _spectral(U, w), w[:, 0]
 
 
@@ -280,12 +293,19 @@ def log_map(P1: np.ndarray, P2: np.ndarray) -> np.ndarray:
     return _spectral(U, 0.5 * np.log(w))
 
 
-def dist_unitdet(P1: np.ndarray, P2: np.ndarray) -> float:
+def dist_unitdet(
+    P1: np.ndarray, P2: np.ndarray, inverses: tuple[np.ndarray, np.ndarray] | None = None
+) -> float:
     """Geodesic distance on the unit-determinant SPD manifold.
 
     Exactly symmetric in its arguments: the operands are put in a canonical
     order before evaluation so that ``d(A, B)`` and ``d(B, A)`` are computed
-    bit-for-bit identically.
+    bit-for-bit identically.  The distance comes from the eigenvalues of
+    ``Y Y^T`` with ``Y = P1^-1 P2``, where ``P1^-1`` is the first operand's
+    inverse: ``inverses``, the pair ``(P1^-1, P2^-1)`` as
+    ``np.linalg.inv`` gives it, when the caller holds them (a collection
+    inverts each item once, not once per pair), else computed here, with
+    the same result.
     """
     P1 = check_square(P1, "P1")
     P2 = check_square(P2, "P2")
@@ -293,9 +313,12 @@ def dist_unitdet(P1: np.ndarray, P2: np.ndarray) -> float:
     if np.array_equal(P1, P2):
         _eigh_pd(P1)
         return 0.0
+    A1, A2 = inverses or (None, None)
     if P2.tobytes() < P1.tobytes():
-        P1, P2 = P2, P1
-    w = np.linalg.eigvalsh(pair_matrix(P1, P2))
+        P1, P2, A1 = P2, P1, A2
+    if A1 is None:
+        A1 = np.linalg.inv(P1)
+    w = np.linalg.eigvalsh(_gram(A1 @ P2))
     _require_pd(w)
     return float(0.5 * np.sqrt(np.sum(np.log(w) ** 2)))
 

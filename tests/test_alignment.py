@@ -893,6 +893,16 @@ def test_unit_part_below_eps_pd_is_still_rejected():
             A._trajectory_features(resample_trajectory(traj, grid), False, None)
 
 
+def test_resampling_keeps_unit_parts_with_small_eigenvalues():
+    # the interpolated points have eigenvalues down to 1e-7, their squares
+    # down to 1e-14; a point is checked by its own eigenvalues
+    traj = CovarianceTrajectory(matrices=np.array([np.diag([1e-7, 1e7]), np.diag([2e-7, 5e6])]))
+    out = resample_trajectory(traj, 5)
+    expected = 1e-7 * 2.0 ** np.linspace(0.0, 1.0, 5)
+    np.testing.assert_allclose(out.matrices[:, 0, 0], expected, rtol=1e-12)
+    np.testing.assert_allclose(out.matrices[:, 1, 1], 1.0 / expected, rtol=1e-12)
+
+
 def test_presmooth_warp_cached_kernel_matches_inline_formula(rng):
     for T in (5, 17, 100):
         g = np.concatenate([[0.0], np.sort(rng.uniform(size=T - 2)), [1.0]])

@@ -25,8 +25,8 @@ from spdtraj.analysis import (
     offdiag_pairs,
 )
 from spdtraj.estimation import CovarianceTrajectory
-from spdtraj.geometry import DimensionMismatchError
-from spdtraj.simgen import gen_two_class
+from spdtraj.geometry import DimensionMismatchError, NotPositiveDefiniteError, normalize_det
+from spdtraj.simgen import Exp1Config, gen_exp1, gen_two_class
 
 
 def _collection(rng, count, n=3, T=12):
@@ -161,6 +161,38 @@ def test_distance_matrix_rejects_unknown_metric(rng):
     trajs = _collection(rng, 2)
     with pytest.raises(ValueError, match="metric"):
         distance_matrix(trajs, metric="euclid")
+
+
+# ---------------------------------------------------------------------------
+# point items: the start-point distance from per-item inverses
+
+
+def _points(mats):
+    return [CovarianceTrajectory(matrices=np.asarray(M)[None]) for M in mats]
+
+
+def test_point_dc_matrix_matches_svd_oracle_at_n100():
+    # ||log sigma(U1^-1 U2)||_F of the unit-determinant parts, by SVD
+    mats = [M for s in gen_exp1(Exp1Config(k=2, T=4, n=100, seed=0)) for M in s]
+    D = distance_matrix(_points(mats + [mats[2]]), metric="dc").values
+    assert np.array_equal(D, D.T)
+    assert not np.diag(D).any()
+    assert D[2, 8] == 0.0  # identical items
+    units = [normalize_det(M)[0] for M in mats]
+    for i in range(8):
+        for j in range(i + 1, 8):
+            sv = np.linalg.svd(np.linalg.solve(units[i], units[j]), compute_uv=False)
+            ref = np.linalg.norm(np.log(sv))
+            assert abs(D[i, j] - ref) <= 1e-12 * ref
+
+
+def test_point_dc_matrix_rejects_a_pair_matrix_below_eps_pd():
+    # every item passes the check; the pair matrix of the first two,
+    # diag(1e-16, 1, 1e16), does not
+    mats = [np.diag([1e4, 1.0, 1e-4]), np.diag([1e-4, 1.0, 1e4]), np.eye(3)]
+    for items in (mats, mats[::-1]):
+        with pytest.raises(NotPositiveDefiniteError, match="smallest eigenvalue"):
+            distance_matrix(_points(items), metric="dc")
 
 
 # ---------------------------------------------------------------------------

@@ -151,6 +151,7 @@ def test_distance_mixed_dims_exit_2(tmp_path, twoclass_dir, capsys):
     )
     a = sorted(twoclass_dir.glob("traj*.spdt"))[0]
     b = sorted(other.glob("traj*.spdt"))[0]
+    b = b.rename(b.with_name("other.spdt"))  # one stem would be a duplicate id
     labels = ["--labels", str(twoclass_dir / "labels.csv")]
     for command in (["distance"], ["classify", *labels]):
         capsys.readouterr()
@@ -214,6 +215,45 @@ def test_distance_thread_count_invariance(tmp_path, twoclass_dir):
     assert run(["distance", *inputs, "--threads", "1", "--out", str(o1)]) == 0
     assert run(["distance", *inputs, "--threads", "4", "--out", str(o2)]) == 0
     assert o1.read_text() == o2.read_text()
+
+
+def test_distance_matrix_items_byte_identical_across_reruns_and_threads(tmp_path):
+    data = tmp_path / "exp1"
+    argv = ["simulate", "exp1", "--k", "2", "--T", "4", "--n", "12", "--seed", "3",
+            "--out-dir", str(data)]
+    assert run(argv) == 0
+    inputs = [str(p) for p in sorted(data.glob("set*.spdt"))]
+    texts = []
+    for k, threads in enumerate(("1", "1", "2")):
+        out = tmp_path / f"d{k}.csv"
+        assert run(["distance", *inputs, "--items", "matrices", "--metric", "dc",
+                    "--threads", threads, "--out", str(out)]) == 0
+        texts.append(out.read_bytes())
+    assert texts[0] == texts[1] == texts[2]
+
+
+@pytest.mark.parametrize("command", ["distance", "classify"])
+@pytest.mark.parametrize("items", ["trajectories", "matrices"])
+@pytest.mark.parametrize("same_file", [True, False])
+def test_duplicate_item_ids_exit_2(tmp_path, twoclass_dir, capsys, command, items, same_file):
+    # the same archive twice, or two archives with one stem, would give two
+    # items one id, which classify --distances refuses
+    a = sorted(twoclass_dir.glob("traj*.spdt"))[0]
+    b = a
+    if not same_file:
+        b = tmp_path / "other" / a.name
+        b.parent.mkdir()
+        b.write_bytes(sorted(twoclass_dir.glob("traj*.spdt"))[1].read_bytes())
+    out = tmp_path / "out.csv"
+    argv = [command, str(a), str(b), "--items", items, "--out", str(out)]
+    if command == "classify":
+        argv += ["--labels", str(twoclass_dir / "labels.csv")]
+    capsys.readouterr()
+    assert run(argv) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"configuration error: duplicate item id {a.stem!r}: inputs {a} and {b} share a file stem"
+    ]
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

@@ -19,11 +19,13 @@ from spdtraj.geometry import (
     dist_unitdet,
     exp_map,
     geodesic,
+    geodesic_points,
     log_det,
     log_euclidean_dist,
     log_map,
     log_map_and_rotation,
     normalize_det,
+    pair_matrix,
     parallel_transport,
     sym_exp,
     sym_log,
@@ -146,6 +148,39 @@ def test_dist_unitdet_path_length_oracle(rng):
 def test_dist_unitdet_dimension_mismatch():
     with pytest.raises(DimensionMismatchError):
         dist_unitdet(np.eye(3), np.eye(4))
+
+
+def test_dist_unitdet_given_inverses_give_the_same_bits(rng):
+    # the caller's inverses are what the kernel would compute, in either order
+    P1, P2 = random_unitdet(rng, 5), random_unitdet(rng, 5)
+    inverses = (np.linalg.inv(P1), np.linalg.inv(P2))
+    d = dist_unitdet(P1, P2)
+    assert dist_unitdet(P2, P1) == d
+    assert dist_unitdet(P1, P2, inverses) == d
+    assert dist_unitdet(P2, P1, inverses[::-1]) == d
+
+
+def test_dist_unitdet_error_is_bounded_by_the_pair_condition():
+    # the kernel forms M = Y Y^T from Y = P1^-1 P2, so it resolves the
+    # singular values of Y only to about eps * kappa(M) relative; an SVD of
+    # Y resolves them to about eps * kappa(Y), far below, so it is the
+    # reference.  This pair has kappa(M) of about 1e6.
+    P1, P2 = spread_unitdet_pair(3, 50.0, 0, (0.0, np.inf))
+    w = np.linalg.eigvalsh(pair_matrix(P1, P2))
+    kappa = w[-1] / w[0]
+    assert 1e5 < kappa < 1e7
+    ref = np.linalg.norm(np.log(np.linalg.svd(np.linalg.solve(P1, P2), compute_uv=False)))
+    d = dist_unitdet(P1, P2, (np.linalg.inv(P1), np.linalg.inv(P2)))
+    assert abs(d - ref) <= np.finfo(float).eps * kappa
+    assert d == dist_unitdet(P2, P1)
+
+
+def test_dist_unitdet_rejects_a_pair_matrix_below_eps_pd():
+    # both matrices pass the check; their pair matrix diag(1e-16, 1, 1e16) does not
+    P1, P2 = np.diag([1e4, 1.0, 1e-4]), np.diag([1e-4, 1.0, 1e4])
+    for a, b in ((P1, P2), (P2, P1)):
+        with pytest.raises(NotPositiveDefiniteError, match="smallest eigenvalue 1.0"):
+            dist_unitdet(a, b, (np.linalg.inv(a), np.linalg.inv(b)))
 
 
 def test_dist_full_scaled_identity():
@@ -279,6 +314,16 @@ def test_geodesic_stays_unit_det(rng):
     P1, P2 = random_unitdet(rng, 5), random_unitdet(rng, 5)
     for t in np.linspace(0, 1, 9):
         assert abs(log_det(geodesic(P1, P2, t))) < 1e-8
+
+
+def test_geodesic_point_is_rejected_by_its_own_eigenvalues():
+    # the midpoint's eigenvalues are 1e-10 and 1e10: its square's 1e-20
+    # must not reject it; a midpoint at 1e-13 is rejected, by that value
+    pair, t = np.zeros(1, dtype=int), np.array([0.5])
+    ok = geodesic_points(np.diag([1e-7, 1e7])[None], np.diag([1e-13, 1e13])[None], pair, t)
+    np.testing.assert_allclose(np.diag(ok[0]), [1e-10, 1e10], rtol=1e-12)
+    with pytest.raises(NotPositiveDefiniteError, match="smallest eigenvalue 1.0+e-13"):
+        geodesic_points(np.diag([1e-11, 1e11])[None], np.diag([1e-15, 1e15])[None], pair, t)
 
 
 # ---------------------------------------------------------------------------
