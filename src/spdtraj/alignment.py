@@ -48,6 +48,18 @@ quotient geodesic keeps the determinant at one and the log-det track
 interpolates linearly.  ``resample_trajectory`` keeps the split, so the
 features decompose no resampled sample again.  The scalar log-det track can
 optionally be carried along as an extra flat channel with weight ``w_det``.
+
+Memory: the stages that would build temporaries the size of a whole
+``(T, n, n)`` stack (resampling, the TSRVF features, their transport, the
+Gram tables' row sums and the unaligned integrand) walk it in blocks of
+one fixed byte budget, `geometry._BLOCK_BYTES`, and write each block's
+rows straight into their result.  A stage then holds its inputs, its
+output and one block of temporaries, not several stacks: at n=100 a
+100-sample stack is 8 MB and a block is 16 matrices.  Every per-matrix
+LAPACK call and every row sum is the one the whole stack would make, so
+the results do not depend on the budget; only the number of Newton-Schulz
+steps of the transport rotations is decided per block.  A small-n
+trajectory fits in one block.
 """
 from __future__ import annotations
 
@@ -65,6 +77,7 @@ from .estimation import (
 )
 from .geometry import (
     DimensionMismatchError,
+    _blocks,
     _geodesic_points,
     dist_unitdet,
     log_map,  # unused here; perfbench/tracer.py wraps alignment.log_map
@@ -223,16 +236,17 @@ class _Features:
     w_det: float
 
 
-def _chain_rotations(O: np.ndarray) -> np.ndarray:
-    """Overwrite O with R: R[k] carries identity-chart coords from sample k to 0.
+def _chain_rotations(O: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """Overwrite O with the rotations that carry identity-chart coords back to sample 0.
 
-    ``O[k]`` is the transport rotation from sample k to k+1, so transport
-    from k+1 back to k is its transpose: ``R[k+1] = R[k] O[k]^T``.
+    ``O[k]`` is the transport rotation from sample k to k+1 of a block, and
+    ``R`` the rotation that carries the block's first sample back; transport
+    from k+1 back to k is the transpose, so ``R[k+1] = R[k] O[k]^T``.
+    Returns the rotation of the sample after the block.
     """
-    R_k = np.eye(O.shape[-1])
     for k in range(O.shape[0]):
-        O[k], R_k = R_k, R_k @ O[k].T
-    return O
+        O[k], R = R, R @ O[k].T
+    return R
 
 
 def _trajectory_features(
@@ -243,6 +257,9 @@ def _trajectory_features(
     Row k is the velocity at sample k (the forward geodesic difference, and
     the backward one at the last sample), carried back to the start point and
     scaled by the inverse square root of its speed; zero-speed rows are zero.
+    The consecutive pairs are decomposed one block at a time
+    (`geometry._blocks`): a running rotation carries the transport chain
+    from block to block, and each block's rows go straight into the result.
     """
     if traj.length < 2:
         raise ValueError("TSRVF needs at least 2 samples")
@@ -251,32 +268,34 @@ def _trajectory_features(
     if w_det is None:
         w_det = 1.0 / n
     T = unit.length
-    V, O = log_map_and_rotation(unit.matrices[:-1], unit.matrices[1:])
-    V /= np.diff(unit.times)[:, None, None]
-    speeds = np.linalg.norm(V, axis=(1, 2))
-    speeds = np.append(speeds, speeds[-1])
-    R = _chain_rotations(O)
-    RV = R @ V
-    del V  # stacks can be large: hold at most three at a time
-    qm = np.empty((T, n, n))
-    np.matmul(RV, R.transpose(0, 2, 1), out=qm[:-1])
-    del R, O, RV
+    mats, dts = unit.matrices, np.diff(unit.times)
+    q = np.empty((T, n * n + include_logdet))
+    qm = q[:, : n * n].reshape(T, n, n)  # a view: rows are written in place
+    speeds = np.empty(T)
+    R = np.eye(n)
+    for b in _blocks(mats[:-1]):
+        V, O = log_map_and_rotation(mats[b], mats[b.start + 1 : b.stop + 1])
+        V /= dts[b, None, None]
+        speeds[b] = np.linalg.norm(V, axis=(1, 2))
+        R = _chain_rotations(O, R)
+        RV = O @ V
+        np.matmul(RV, O.transpose(0, 2, 1), out=qm[b])
+        del V, O, RV  # before the next block is built
+    speeds[-1] = speeds[-2]
     qm[-1] = qm[-2]
     if include_logdet:
         sdot = np.gradient(track, unit.times)
         speeds = np.sqrt(speeds**2 + w_det * sdot**2)
     scale = np.where(speeds > _ZERO_SPEED, 1.0 / np.sqrt(np.maximum(speeds, _ZERO_SPEED)), 0.0)
     qm *= scale[:, None, None]
-    flat = qm.reshape(T, n * n)
     if include_logdet:
-        qs = (np.sqrt(w_det) * sdot * scale)[:, None]
-        flat = np.concatenate([flat, qs], axis=1)
+        q[:, n * n] = np.sqrt(w_det) * sdot * scale
     start = unit.matrices[0].copy()  # a view would keep the whole stack alive
     return _Features(
         start=start,
         start_inv=np.linalg.inv(start),
         start_logdet=float(track[0]),
-        q=flat,
+        q=q,
         n=n,
         with_logdet=include_logdet,
         w_det=float(w_det),
@@ -284,15 +303,30 @@ def _trajectory_features(
 
 
 def _transport_features(f1: _Features, f2: _Features) -> np.ndarray:
-    """Carry f1's TSRVF across the baseline geodesic to f2's start point."""
+    """Carry f1's TSRVF across the baseline geodesic to f2's start point, a block at a time."""
     O = transport_rotation(f1.start, f2.start)
-    T = f1.q.shape[0]
-    n = f1.n
+    T, n = f1.q.shape[0], f1.n
     qm = f1.q[:, : n * n].reshape(T, n, n)
-    moved = np.matmul(np.matmul(O[None], qm), O.T[None]).reshape(T, n * n)
-    if f1.with_logdet:
-        return np.concatenate([moved, f1.q[:, n * n :]], axis=1)
-    return moved
+    out = np.empty_like(f1.q)
+    moved = out[:, : n * n].reshape(T, n, n)
+    for b in _blocks(qm):
+        np.matmul(O @ qm[b], O.T, out=moved[b])
+    out[:, n * n :] = f1.q[:, n * n :]
+    return out
+
+
+def _row_sums(f, *arrays: np.ndarray) -> np.ndarray:
+    """``f(*arrays).sum(axis=1)``, one block of rows at a time; each row is summed whole."""
+    out = np.empty(arrays[0].shape[0])
+    for b in _blocks(arrays[0]):
+        out[b] = f(*(a[b] for a in arrays)).sum(axis=1)
+    return out
+
+
+def _identity_cost(q1p: np.ndarray, q2: np.ndarray) -> float:
+    """The unaligned integral of ``||q1p - q2||^2``, by the trapezoid rule on the grid."""
+    gaps = _row_sums(lambda a, b: (a - b) ** 2, q1p, q2)
+    return float(np.trapezoid(gaps, dx=1.0 / (q2.shape[0] - 1)))
 
 
 def _start_gap_sq(f1: _Features, f2: _Features) -> float:
@@ -325,9 +359,7 @@ def _dc_from_features(f1: _Features, f2: _Features) -> float:
         return float(np.sqrt(_start_gap_sq(f1, f2)))
     if _swap_to_canonical(f1, f2):
         f1, f2 = f2, f1
-    q1p = _transport_features(f1, f2)
-    diff = ((q1p - f2.q) ** 2).sum(axis=1)
-    integral = float(np.trapezoid(diff, dx=1.0 / (T - 1)))
+    integral = _identity_cost(_transport_features(f1, f2), f2.q)
     return float(np.sqrt(_start_gap_sq(f1, f2) + integral))
 
 
@@ -399,11 +431,11 @@ class _PairGrams:
 
     def fill(self, p: int, q1p: np.ndarray, q2: np.ndarray) -> None:
         """Tables of pair ``p`` from q1 carried to q2's start point, and q2."""
-        self.N1[p] = (q1p**2).sum(axis=1)
-        self.N2[p] = (q2**2).sum(axis=1)
+        self.N1[p] = _row_sums(np.square, q1p)
+        self.N2[p] = _row_sums(np.square, q2)
         np.matmul(q1p, q2.T, out=self.G[p])
-        self.C1[p] = (q1p[:-1] * q1p[1:]).sum(axis=1)
-        self.C2[p] = (q2[:-1] * q2[1:]).sum(axis=1)
+        self.C1[p] = _row_sums(np.multiply, q1p[:-1], q1p[1:])
+        self.C2[p] = _row_sums(np.multiply, q2[:-1], q2[1:])
 
     def directed(self, slots=slice(None)) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``N1``, ``N2`` and ``C2`` of the directed tables of ``slots``: forward, then mirrored."""
@@ -858,9 +890,7 @@ def _enter_search(gr: _PairGrams, slot: int, f1: _Features, f2: _Features) -> _S
     # identity cost in direct (per-sample nonnegative) form: exactly the
     # unaligned integrand in both directions, so d_q <= d_c holds with no
     # cancellation floor
-    dt = 1.0 / (q1p.shape[0] - 1)
-    identity_cost = float(np.trapezoid(((q1p - f2.q) ** 2).sum(axis=1), dx=dt))
-    return _Search(slot, swap, _start_gap_sq(f1, f2), identity_cost)
+    return _Search(slot, swap, _start_gap_sq(f1, f2), _identity_cost(q1p, f2.q))
 
 
 def _finish_search(fg, st: _Search, S: int, ts: np.ndarray):

@@ -80,9 +80,15 @@ def _config_dict(args: argparse.Namespace, skip=("func",)) -> dict:
     return out
 
 
-def _check_grid(grid: int) -> None:
-    if grid < 2:
-        raise CliConfigError(f"--grid must be at least 2, got {grid}")
+def _check_at_least(args: argparse.Namespace, **minimums) -> None:
+    """Reject a numeric option below its minimum, or NaN, before any input is read.
+
+    An option left unset (None) is not checked.
+    """
+    for name, least in minimums.items():
+        value = getattr(args, name)
+        if value is not None and not value >= least:
+            raise CliConfigError(f"--{name.replace('_', '-')} must be at least {least}, got {value}")
 
 
 def _load_items(paths: list[str], items_mode: str):
@@ -229,6 +235,7 @@ def _make_config(cls, **kwargs):
 
 
 def _cmd_reduce(args) -> int:
+    _check_at_least(args, max_iters=0, tol=0, pair_cap=1, seed=0)
     man = _Manifest("reduce", _config_dict(args))
     for p in args.inputs:
         man.add_input(p)
@@ -275,7 +282,7 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_distance(args) -> int:
-    _check_grid(args.grid)
+    _check_at_least(args, grid=2, w_det=0)
     man = _Manifest("distance", _config_dict(args))
     ids, trajs, reduction = _load_collection(args, man)
     man.start("distances")
@@ -331,7 +338,7 @@ def _cmd_distance(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    _check_grid(args.grid)
+    _check_at_least(args, grid=2, folds=2, k=1, seed=0)
     man = _Manifest("classify", _config_dict(args))
     man.add_input(args.labels)
     label_map = io.load_labels_csv(args.labels)
@@ -425,7 +432,7 @@ def _random_trajectory(rng, n: int, T: int) -> CovarianceTrajectory:
 
 
 def _cmd_bench(args) -> int:
-    _check_grid(args.grid)
+    _check_at_least(args, grid=2, reps=1)
     man = _Manifest("bench", _config_dict(args))
     sizes = [int(s) for s in args.sizes.split(",") if s]
     if not sizes or any(s < 2 for s in sizes):

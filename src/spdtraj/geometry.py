@@ -32,8 +32,18 @@ one call, once each.  A stack of pairs solves for ``Y = P1^-1 P2``, one LU
 per pair; the distance takes ``Y`` from the first operand's inverse instead,
 which a collection computes once per item, not once per pair
 (`dist_unitdet`).
+
+A long stack is walked in blocks of at most `_BLOCK_BYTES` of matrices
+(`_blocks`), so that a stage holds one block of temporaries beside its
+inputs and output, not several copies of the whole stack; the per-matrix
+calls are the same either way.  The geodesic points decompose their pairs
+once and build the points a block at a time, and the trajectory features
+(`alignment`) call `log_map_and_rotation` on one block of consecutive pairs
+at a time.
 """
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -50,6 +60,10 @@ ORTHO_DEFECT_MAX = 0.5
 # Newton-Schulz about squares the defect per step, so one more step from
 # below this leaves it at roundoff.
 _NS_LAST_STEP = 1e-8
+# Stages that would build temporaries the size of a whole (T, n, n) stack walk
+# it in blocks of at most this many bytes of matrices (16 at n=100), and at
+# least one matrix (`_blocks`).
+_BLOCK_BYTES = 1_300_000
 
 
 class NotPositiveDefiniteError(ValueError):
@@ -187,19 +201,27 @@ def exp_map(base: np.ndarray, V: np.ndarray) -> np.ndarray:
     return sym_sqrt(symmetrize(base @ sym_exp(2.0 * V) @ base))
 
 
+def _blocks(stack: np.ndarray):
+    """Consecutive slices of a stack's first axis, each of at most `_BLOCK_BYTES`.
+
+    A block holds at least one item, so an item larger than the budget is a
+    block of its own.
+    """
+    step = max(1, _BLOCK_BYTES // (stack.itemsize * math.prod(stack.shape[1:])))
+    count = stack.shape[0]
+    return (slice(a, min(a + step, count)) for a in range(0, count, step))
+
+
 def pair_matrix(P1: np.ndarray, P2: np.ndarray) -> np.ndarray:
     """``M = P1^-1 P2^2 P1^-1`` of matrices or stacks ``(..., n, n)``, unchecked.
 
     M is symmetric by construction and positive definite for nonsingular
     ``P2``; every pair quantity of the quotient metric derives from it.
+    Stacked products are not exactly symmetric, so M is symmetrized.
     """
-    return _gram(np.linalg.solve(P1, P2))
-
-
-def _gram(Y: np.ndarray) -> np.ndarray:
-    """``Y Y^T``, exactly symmetric: the pair matrix from ``Y = P1^-1 P2``."""
+    Y = np.linalg.solve(P1, P2)
     M = Y @ _mT(Y)
-    del Y  # stacks can be large: hold at most two at a time
+    del Y  # hold at most two stacks at a time
     return symmetrize(M)
 
 
@@ -266,21 +288,28 @@ def _geodesic_points(
 ) -> tuple[np.ndarray, np.ndarray]:
     """`geodesic_points` and the smallest eigenvalue of each point.
 
-    A point is rejected by its own eigenvalues, not by those of its square
-    ``A M^t A``; a square's eigenvalue that roundoff takes below zero reads
-    as a zero eigenvalue of the point.
+    The pairs are decomposed once, and the points are built one block at a
+    time (`_blocks`).  A point is rejected by its own eigenvalues, not by
+    those of its square ``A M^t A``; a square's eigenvalue that roundoff
+    takes below zero reads as a zero eigenvalue of the point.
     """
     w, U = _eigh_pd(pair_matrix(P1, P2))
-    X = _spectral(U[pair], w[pair] ** t[:, None])
-    A = P1[pair]
-    X = A @ X
-    X = X @ A
-    del A  # stacks can be large: hold at most three at a time
-    w, U = np.linalg.eigh(symmetrize(X))
-    del X
-    w = np.sqrt(np.maximum(w, 0.0))
-    _require_pd(w, "geodesic point")
-    return _spectral(U, w), w[:, 0]
+    points = np.empty((t.size, *P1.shape[-2:]))
+    smallest = np.empty(t.size)
+    for b in _blocks(points):
+        k = pair[b]
+        X = _spectral(U[k], w[k] ** t[b, None])
+        A = P1[k]
+        X = A @ X
+        X = X @ A
+        del A
+        wb, Ub = np.linalg.eigh(symmetrize(X))
+        del X
+        wb = np.sqrt(np.maximum(wb, 0.0))
+        smallest[b] = wb[:, 0]
+        points[b] = _spectral(Ub, wb)
+    _require_pd(smallest[:, None], "geodesic point")
+    return points, smallest
 
 
 def log_map(P1: np.ndarray, P2: np.ndarray) -> np.ndarray:
@@ -318,7 +347,9 @@ def dist_unitdet(
         P1, P2, A1 = P2, P1, A2
     if A1 is None:
         A1 = np.linalg.inv(P1)
-    w = np.linalg.eigvalsh(_gram(A1 @ P2))
+    Y = A1 @ P2
+    # a 2-D product with its own transpose is exactly symmetric (syrk)
+    w = np.linalg.eigvalsh(Y @ Y.T)
     _require_pd(w)
     return float(0.5 * np.sqrt(np.sum(np.log(w) ** 2)))
 

@@ -340,10 +340,13 @@ def reduce_trajectory(
 ) -> CovarianceTrajectory:
     """Pointwise projection of a trajectory; same grid, dimension d.
 
-    Each point is determinant-normalized, projected, and renormalized, so the
-    output lives on the unit-determinant manifold in dimension d.
+    Each point is projected and then determinant-normalized, so the output
+    lives on the unit-determinant manifold in dimension d.  ``B^T (cP) B``
+    and ``B^T P B`` have the same unit-determinant part, so the points are
+    not normalized in dimension n first: an input is checked only by the
+    loader's positive-definiteness test and by the unit-part check of its
+    projection, not by its own n-dimensional unit part.
     """
     basis = model.basis if isinstance(model, ReductionModel) else model
-    unit, _ = normalize_det(traj.matrices)
-    mats, _ = project(unit, basis)
+    mats, _ = project(traj.matrices, basis)
     return CovarianceTrajectory(matrices=mats, times=traj.times.copy())

@@ -13,6 +13,7 @@ from conftest import (
     smooth_warp_fn,
 )
 from spdtraj import alignment as A
+from spdtraj import geometry
 from spdtraj.alignment import (
     TrajectoryPair,
     WarpingFunction,
@@ -919,3 +920,93 @@ def test_presmooth_warp_cached_kernel_matches_inline_formula(rng):
         kernel[0, 0] = 0.0
     with pytest.raises(ValueError):
         rows[0] = 0.0
+
+
+# ---------------------------------------------------------------------------
+# the block budget: stacks are walked in blocks of geometry._BLOCK_BYTES
+
+
+def _n100_trajectory():
+    from spdtraj.cli import _random_trajectory
+    from spdtraj.simgen import derived_rng
+
+    return _random_trajectory(derived_rng(9, "perf", 100), 100, 20)
+
+
+def test_resampling_and_features_hold_their_output_and_a_few_blocks():
+    # at n=100 a 100-sample stack is 8 MB, six blocks; without blocks the two
+    # stages held 1.7 and 3.0 stacks of temporaries
+    import tracemalloc
+
+    traj = _n100_trajectory()
+    allowed = 5 * geometry._BLOCK_BYTES
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = resample_trajectory(traj, 100)
+        kept = out.matrices.nbytes + out._split[0].matrices.nbytes
+        peak = tracemalloc.get_traced_memory()[1] - base
+        assert peak <= kept + allowed, f"resampling: peak {peak} B, output {kept} B"
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        feats = A._trajectory_features(out, False, None)
+        peak = tracemalloc.get_traced_memory()[1] - base
+        assert peak <= feats.q.nbytes + allowed, f"features: peak {peak} B, output {feats.q.nbytes} B"
+    finally:
+        tracemalloc.stop()
+
+
+def _pair_stages(f1, f2, grid):
+    """Transported features, Gram tables, identity cost and d_c of a pair."""
+    q1p = A._transport_features(f1, f2)
+    gr = A._PairGrams.empty(1, grid)
+    gr.fill(0, q1p, f2.q)
+    return q1p, gr, A._identity_cost(q1p, f2.q), A._dc_from_features(f1, f2)
+
+
+@pytest.mark.parametrize("include_logdet", [False, True])
+def test_one_matrix_blocks_give_the_one_block_results(monkeypatch, include_logdet):
+    # every per-matrix call and per-row sum is the one the whole stack makes;
+    # only the Newton-Schulz step count is decided per block, so the features
+    # may differ at roundoff
+    from spdtraj.cli import _random_trajectory
+    from spdtraj.simgen import derived_rng
+
+    rng = derived_rng(3, "blocks", 12)
+    scale = np.exp(np.linspace(0.0, 1.0, 9))[:, None, None]
+    trajs = [
+        CovarianceTrajectory(matrices=_random_trajectory(rng, 12, 9).matrices * scale)
+        for _ in range(2)
+    ]
+    grid = 40
+    assert geometry._BLOCK_BYTES >= grid * 12 * 12 * 8  # one block at the default budget
+    resampled = [resample_trajectory(t, grid) for t in trajs]
+    feats = [A._trajectory_features(r, include_logdet, None) for r in resampled]
+    whole = _pair_stages(*feats, grid)
+
+    monkeypatch.setattr(geometry, "_BLOCK_BYTES", 1)
+    for r0, t in zip(resampled, trajs):
+        r1 = resample_trajectory(t, grid)
+        assert r1.matrices.tobytes() == r0.matrices.tobytes()
+        assert r1._split[0].matrices.tobytes() == r0._split[0].matrices.tobytes()
+        assert r1._split[1].tobytes() == r0._split[1].tobytes()
+    for f0, r in zip(feats, resampled):
+        f1 = A._trajectory_features(r, include_logdet, None)
+        assert np.abs(f1.q - f0.q).max() <= 1e-14 * np.abs(f0.q).max()
+        assert f1.start.tobytes() == f0.start.tobytes()
+    q1p, gr, identity, dc = _pair_stages(*feats, grid)
+    assert q1p.tobytes() == whole[0].tobytes()
+    for name in ("N1", "N2", "G", "C1", "C2"):
+        assert getattr(gr, name).tobytes() == getattr(whole[1], name).tobytes()
+    assert (identity, dc) == whole[2:]
+
+
+def test_rotation_rejection_fires_in_a_later_block(monkeypatch):
+    # three constant pairs, then one whose raw transport rotation is no rotation
+    from conftest import spread_unitdet_pair
+
+    P1, P2 = spread_unitdet_pair(3, 1e7, 0, (0.5, np.inf))
+    traj = CovarianceTrajectory(matrices=np.stack([P1, P1, P1, P1, P2]))
+    monkeypatch.setattr(geometry, "_BLOCK_BYTES", 1)
+    with pytest.raises(ValueError, match="not orthogonal"):
+        A._trajectory_features(traj, False, None)

@@ -480,6 +480,38 @@ def test_grid_below_two_exit_2(tmp_path, twoclass_dir, capsys, command, grid):
     assert err.count("\n") == 1 and "--grid must be at least 2" in err
 
 
+@pytest.mark.parametrize(
+    "command, option, value, message",
+    [
+        ("reduce", "--pair-cap", "0", "--pair-cap must be at least 1, got 0"),
+        ("reduce", "--pair-cap", "-3", "--pair-cap must be at least 1, got -3"),
+        ("reduce", "--seed", "-1", "--seed must be at least 0, got -1"),
+        ("reduce", "--max-iters", "-1", "--max-iters must be at least 0, got -1"),
+        ("reduce", "--tol", "-1", "--tol must be at least 0, got -1.0"),
+        ("reduce", "--tol", "nan", "--tol must be at least 0, got nan"),
+        ("classify", "--folds", "1", "--folds must be at least 2, got 1"),
+        ("classify", "--k", "0", "--k must be at least 1, got 0"),
+        ("classify", "--seed", "-1", "--seed must be at least 0, got -1"),
+        ("distance", "--w-det", "-1", "--w-det must be at least 0, got -1.0"),
+        ("bench", "--reps", "0", "--reps must be at least 1, got 0"),
+    ],
+)
+def test_malformed_numeric_option_exit_2(tmp_path, capsys, command, option, value, message):
+    # the inputs do not exist: the option is rejected before any file is read
+    inputs = [str(tmp_path / f"missing{k}.spdt") for k in range(2)]
+    out = tmp_path / "out.csv"
+    argv = {
+        "reduce": ["reduce", *inputs, "--d", "2"],
+        "classify": ["classify", *inputs, "--labels", str(tmp_path / "missing.csv")],
+        "distance": ["distance", *inputs, "--include-logdet"],
+        "bench": ["bench", "--sizes", "3"],
+    }[command] + [option, value, "--out", str(out)]
+    capsys.readouterr()
+    assert run(argv) == 2
+    assert capsys.readouterr().err.splitlines() == [f"configuration error: {message}"]
+    assert not out.exists()
+
+
 _IDS = "a,b,c,d"
 _ROWS = ["0.0,1.0,5.0,5.0", "1.0,0.0,5.0,5.0", "5.0,5.0,0.0,1.0", "5.0,5.0,1.0,0.0"]
 _LABELS = ["id,label", "a,0", "b,0", "c,1", "d,1"]

@@ -160,6 +160,21 @@ def test_dist_unitdet_given_inverses_give_the_same_bits(rng):
     assert dist_unitdet(P2, P1, inverses[::-1]) == d
 
 
+@pytest.mark.parametrize("n", [5, 100])
+def test_dist_unitdet_gram_needs_no_symmetrizing(rng, n):
+    # a 2-D product with its own transpose comes out exactly symmetric, so
+    # the kernel's unsymmetrized Gram matrix gives the symmetrized one's bits
+    for _ in range(5):
+        P1, P2 = (random_unitdet(rng, n, 2.0 / np.sqrt(n)) for _ in range(2))
+        if P2.tobytes() < P1.tobytes():
+            P1, P2 = P2, P1
+        Y = np.linalg.inv(P1) @ P2
+        M = Y @ Y.T
+        assert np.array_equal(M, M.T)
+        w = np.linalg.eigvalsh(symmetrize(M))
+        assert dist_unitdet(P1, P2) == float(0.5 * np.sqrt(np.sum(np.log(w) ** 2)))
+
+
 def test_dist_unitdet_error_is_bounded_by_the_pair_condition():
     # the kernel forms M = Y Y^T from Y = P1^-1 P2, so it resolves the
     # singular values of Y only to about eps * kappa(M) relative; an SVD of

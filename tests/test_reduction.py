@@ -3,11 +3,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import random_tracefree, random_unitdet
+from conftest import random_spd, random_tracefree, random_unitdet
 from spdtraj.estimation import CovarianceTrajectory
 from spdtraj.geometry import (
     DimensionMismatchError,
     dist_unitdet,
+    normalize_det,
     sym_exp,
     sym_log,
     symmetrize,
@@ -488,6 +489,17 @@ def test_reduce_trajectory_block_preserves_distances(rng):
             full = dist_unitdet(traj.matrices[i], traj.matrices[j])
             red = dist_unitdet(out.matrices[i], out.matrices[j])
             assert red == pytest.approx(full, abs=1e-6)
+
+
+def test_reduce_trajectory_of_scaled_points_matches_their_unit_parts(rng):
+    # B^T (cP) B and B^T P B have one unit-determinant part, so the points
+    # are projected as they are, not normalized in dimension n first
+    mats = np.array([random_spd(rng, 8, logdet_scale=3.0) for _ in range(5)])
+    B = random_basis(rng, 8, 3)
+    out = reduce_trajectory(CovarianceTrajectory(matrices=mats), B)
+    expected, _ = project(normalize_det(mats)[0], B)
+    assert np.abs(out.matrices - expected).max() <= 1e-13 * np.abs(expected).max()
+    assert np.abs(np.linalg.slogdet(out.matrices)[1]).max() <= 1e-12
 
 
 def test_reduce_trajectory_dimension_mismatch(rng):
