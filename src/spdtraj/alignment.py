@@ -24,14 +24,17 @@ local refinement of the warp that removes the staircase artifacts of the
 lattice path.  The refinement is a monotone spectral projected gradient in
 increment space: the warp increments stay in the slope window ``[1/3, 3]``
 with unit sum, a step is taken only when it lowers the cost, so the last
-iterate is the result, and it stops once a projected step predicts a
-relative change of d_q below 5e-8.  It is needed to reach near-zero
-residuals on self-warped pairs; the lattice path alone leaves a systematic
-positive residual from its quantized slopes.
+iterate is the result.  It stops once a projected step predicts, or an
+accepted step achieved, a relative change of d_q below 5e-8: the cost is
+only piecewise smooth in the knots (q2 is linearly interpolated), and at a
+kink the predicted decrease stays large while the steps gain nothing.
+The refinement is needed to reach near-zero residuals on self-warped
+pairs; the lattice path alone leaves a systematic positive residual from
+its quantized slopes.
 
 Aligning a to b and b to a is one problem seen from two sides, so an
 unordered pair gets one warp search: it puts the pair in a canonical order,
-builds one transport and one Gram table, and scores every candidate warp
+builds one transport and one Gram table, and scores every refined warp
 and its inverse in both directions.  Swapping the pair swaps the results
 bit for bit.  The searches of a list of pairs share one pool of refinement
 lanes, one array row per lane: each round scores the trial warps of every
@@ -97,8 +100,9 @@ _DP_MOVES = ((1, 1), (1, 2), (2, 1))
 _SLOPE_MIN = 1.0 / 3.0
 _SLOPE_MAX = 3.0
 # The refinement stops once a projected step predicts a cost decrease below
-# this fraction of the cost; as d_q^2 >= cost, d_q would move by less than
-# half of it, relatively.
+# this fraction of the cost, or an accepted step lowered the cost by less
+# than this fraction of its new value (the relative-reduction stop of
+# L-BFGS-B); as d_q^2 >= cost, d_q moves by less than half of it, relatively.
 _REFINE_RTOL = 1e-7
 # Gaussian width, in grid steps, of the smoothing applied to a lattice path
 # before it seeds the refinement.
@@ -607,10 +611,15 @@ def _project_slopes(Y: np.ndarray, dt: float) -> np.ndarray:
     Row ``r`` projects to ``clip(Y[r] - lam_r, dt/3, 3 dt)`` for the shift
     ``lam_r`` that restores the unit sum; ``lam_r`` is found by Newton's
     method on that piecewise-linear sum, safeguarded by bisection, in at most
-    64 iterations.  The rows iterate together, each exactly as it would
-    alone, until every sum is restored.
+    64 iterations.  A sum counts as restored once it is within its roundoff,
+    ``eps (m + f_r |lam_r|)`` for ``m`` entries of which ``f_r`` are free:
+    ``m eps`` from summing to one, and one spacing of the shift per free
+    entry.  The second term is far above 1e-15 when a long Barzilai-Borwein
+    step makes the shift large.  The rows iterate together, each exactly as
+    it would alone, until every sum is restored.
     """
     lo, hi = _SLOPE_MIN * dt, _SLOPE_MAX * dt
+    eps = np.finfo(float).eps
     # rounding is monotone, so the bracket min(y) - hi equals min(y - hi)
     a = np.minimum.reduce(Y, axis=1) - hi
     b = np.maximum.reduce(Y, axis=1) - lo
@@ -620,14 +629,15 @@ def _project_slopes(Y: np.ndarray, dt: float) -> np.ndarray:
             z = Y - lam[:, None]
             u = np.minimum(np.maximum(z, lo), hi)
             excess = np.add.reduce(u, axis=1) - 1.0
-            going = np.abs(excess) > 1e-15
+            free = np.add.reduce((z > lo) & (z < hi), axis=1, dtype=float)
+            going = np.abs(excess) > eps * (Y.shape[1] + free * np.abs(lam))
             if not going.any():
                 break
             up = excess > 0
             a = np.where(up, lam, a)
             b = np.where(up, b, lam)
             # with no free entry the Newton step is infinite: bisection takes over
-            nxt = lam + excess / np.add.reduce((z > lo) & (z < hi), axis=1, dtype=float)
+            nxt = lam + excess / free
             # a finished row keeps its shift, so it recomputes the same u
             lam = np.where(going, np.where((a < nxt) & (nxt < b), nxt, 0.5 * (a + b)), lam)
     return u
@@ -645,10 +655,13 @@ class _Lanes:
     takes Barzilai-Borwein steps and backtracks until the Armijo test against
     its current cost holds (a monotone line search).  Every accepted step
     lowers the cost, so the last iterate is the lane's result, and it never
-    costs more than the projected seed.  It stops when the projected step
-    predicts a decrease below ``_REFINE_RTOL`` times the cost, when
-    backtracking finds no decrease, or after ``maxiter`` steps; the last is
-    logged once, at DEBUG, as not converged.
+    costs more than the projected seed.  It stops as converged when the
+    projected step predicts a decrease below ``_REFINE_RTOL`` times the
+    cost, when an accepted step lowered the cost by less than
+    ``_REFINE_RTOL`` times its new value, or when backtracking finds no
+    decrease.  Otherwise it stops after ``maxiter`` steps, logged once, at
+    DEBUG, as not converged; a step that reaches the cap and is also that
+    flat converges the lane.
 
     `advance` scores the pending trial of every lane with one stacked cost
     evaluation, accepts or backtracks each lane, and projects the steps of
@@ -732,6 +745,9 @@ class _Lanes:
             spread = np.abs(g0 - g0.mean(axis=1, keepdims=True)).max(axis=1)
             alpha[first] = 0.1 * dt / np.maximum(spread, 1e-300)
             self.fresh = False
+        # an accepted step that gained less than the tolerance converges its
+        # lane, also the step that reaches the cap (a new lane's gain is inf)
+        flat = acc & (self.c - c_new < _REFINE_RTOL * c_new)
         self.c = np.where(acc, c_new, self.c)
         self.alpha = np.where(acc, alpha, self.alpha)
         np.copyto(self.u, self.trial, where=acc[:, None])
@@ -739,9 +755,10 @@ class _Lanes:
         del g_new
         self.steps += acc
         # steps grow only when a lane moves, so these reached the cap just now
-        failed = self.steps >= self.maxiter
+        failed = (self.steps >= self.maxiter) & ~flat
+        stop |= flat | failed
 
-        rows = (acc & ~failed).nonzero()[0]
+        rows = (acc & ~stop).nonzero()[0]
         u, grad = self.u[rows], self.grad[rows]
         d = _project_slopes(u - self.alpha[rows, None] * grad, dt)
         d -= u
@@ -749,7 +766,6 @@ class _Lanes:
         stop[rows] = -deriv <= _REFINE_RTOL * self.c[rows]
         self.d[rows], self.deriv[rows], self.lam[rows] = d, deriv, 1.0
         del d
-        stop |= failed
 
         owners, warps = (), ()
         if np.count_nonzero(stop):
@@ -814,8 +830,10 @@ def _dq_from_features(
     mirrored problem reads the table transposed, which is exact because
     transport is isometric.  Each direction runs its lattice path and refines
     the presmoothed seeds from its own path and from the other direction's
-    inverted path; every candidate of one direction is scored, inverted, in
-    the other as well, so the two candidate sets are mirror images.
+    inverted path.  A direction scores the identity, its own unrefined
+    lattice path and every refined warp of the pair, those of the other
+    direction inverted, so the refined candidates of the two directions are
+    mirror images.
 
     The pairs share one pool of refinement lanes (`_Lanes`).  A pair holds
     one of `_pairs_per_block` Gram slots while its lanes run.  Whenever at
@@ -894,11 +912,15 @@ def _enter_search(gr: _PairGrams, slot: int, f1: _Features, f2: _Features) -> _S
 
 
 def _finish_search(fg, st: _Search, S: int, ts: np.ndarray):
-    """Score a pair's candidates in both directions; its ``(d_12, d_21, warp_12, warp_21, d_c)``."""
+    """Score a pair's candidates in both directions; its ``(d_12, d_21, warp_12, warp_21, d_c)``.
+
+    A direction scores its own unrefined lattice path but not the other
+    direction's, inverted: that one never scored best, since the lanes
+    seeded from it refine it.
+    """
     out = []
     for e in (0, 1):
-        (px, py), (ox, oy) = st.paths[e], st.paths[1 - e]
-        candidates = [(px, py), (oy, ox)]
+        candidates = [st.paths[e]]
         candidates += [(ts, g) for g, de in zip(st.warps, st.lane_dirs) if de == e]
         candidates += [(g, ts) for g, de in zip(st.warps, st.lane_dirs) if de != e]
         U = np.stack([np.diff(np.interp(ts, gx, gy)) for gx, gy in candidates])

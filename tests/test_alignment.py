@@ -38,6 +38,7 @@ from spdtraj.geometry import (
     sym_log,
     transport_rotation,
 )
+from spdtraj.simgen import gen_two_class
 
 
 def _geodesic_trajectory(P1, P2, T):
@@ -535,14 +536,22 @@ def test_stacked_cost_evaluator_matches_one_lane(rng):
         assert c1 == c2 and np.array_equal(g1, g2)
 
 
-@given(hs.integers(0, 2**32 - 1), hs.floats(0.1, 3.0), hs.integers(1, 5))
+@given(hs.integers(0, 2**32 - 1), hs.floats(0.1, 3.0), hs.integers(1, 5), hs.floats(0.0, 1e3))
 @settings(max_examples=30, deadline=None)
-def test_project_slopes_is_euclidean_projection(seed, spread, rows):
+def test_project_slopes_is_euclidean_projection(seed, spread, rows, alpha):
+    # random rows, and rows ``u - alpha g`` as a refinement step makes them:
+    # a feasible u moved along a gradient g by a step of up to 1e3, which
+    # shifts the sum far from one.  Every row matches the scalar loop bit
+    # for bit, and that loop ends before its 64-iteration cap
     rng = np.random.default_rng(seed)
     dt = 1.0 / 49
     Y = dt * np.exp(spread * rng.normal(size=(rows, 49)))
+    g = 0.1 * (rng.normal(size=Y.shape) + rng.normal(size=(rows, 1)))
+    Y = np.concatenate([Y, A._project_slopes(Y, dt) - alpha * g])
     lo, hi = A._SLOPE_MIN * dt, A._SLOPE_MAX * dt
     for y, u in zip(Y, A._project_slopes(Y, dt)):
+        ref, steps = _reference_projection_steps(y, dt)
+        assert np.array_equal(u, ref) and steps < 64
         assert abs(u.sum() - 1.0) < 1e-12
         assert u.min() >= lo and u.max() <= hi
         # optimality: u = clip(y - lam, lo, hi) with one shift for every free entry
@@ -556,23 +565,30 @@ def test_project_slopes_is_euclidean_projection(seed, spread, rows):
 
 def _reference_projection(y, dt):
     """One row's slope projection by the scalar Newton/bisection loop."""
+    return _reference_projection_steps(y, dt)[0]
+
+
+def _reference_projection_steps(y, dt):
+    """The scalar loop's projection of one row, and the iterations it took."""
     lo, hi = A._SLOPE_MIN * dt, A._SLOPE_MAX * dt
     a, b = float((y - hi).min()), float((y - lo).max())
     lam = (float(y.sum()) - 1.0) / y.size
-    for _ in range(64):
+    for steps in range(1, 65):
         z = y - lam
         u = np.minimum(np.maximum(z, lo), hi)
         excess = float(u.sum()) - 1.0
-        if abs(excess) <= 1e-15:
+        n_free = np.count_nonzero((z > lo) & (z < hi))
+        # the sum is known to its roundoff: m eps from summing to one, and
+        # one spacing of the shift per free entry
+        if abs(excess) <= np.finfo(float).eps * (y.size + n_free * abs(lam)):
             break
         if excess > 0:
             a = lam
         else:
             b = lam
-        n_free = np.count_nonzero((z > lo) & (z < hi))
         lam_next = lam + excess / n_free if n_free else 0.5 * (a + b)
         lam = lam_next if a < lam_next < b else 0.5 * (a + b)
-    return u
+    return u, steps
 
 
 def _knots(u):
@@ -607,7 +623,12 @@ def _reference_refinement(cost, g_init, maxiter):
         s, y = u_new - u, grad_new - grad
         sy = float(s @ y)
         alpha = min(max(float(s @ s) / sy, 1e-12), 1e3) if sy > 0 else 1e3 * dt
+        # a step that gained less than the tolerance converges, even the
+        # step that reaches the cap
+        flat = c - c_new < A._REFINE_RTOL * c_new
         u, c, grad = u_new, c_new, grad_new
+        if flat:
+            break
     else:
         converged = False
     return _knots(u), c, converged
@@ -631,16 +652,14 @@ def test_lanes_take_the_scalar_refinement_iterates(rng):
     assert lanes.nonconverged > 0
 
 
-def test_lane_costs_never_increase_and_the_last_iterate_is_the_result():
-    # the trials every round scores are recorded; a lane that stays took its
-    # trial when its step count grew, and a lane that stops took it when it
-    # returns the trial's knots.  The accepted costs of a lane never
-    # increase, and it returns its last accepted iterate and that cost
-    gr = _block_grams(np.random.default_rng(7), 3)
-    ts = np.linspace(0.0, 1.0, 40)
-    tables = [0, 4, 1, 1, 5, 2, 3]
-    seeds = [A._presmooth_warp(ts ** (0.5 + 0.15 * k)) for k in range(len(tables))]
-    lanes = A._Lanes(40, 400, len(seeds))
+def _accepted_steps(gr, tables, seeds):
+    """Run lanes and record each one's accepted iterates: ``{lane: [(cost, u)]}`` and the warps.
+
+    The trials every round scores are recorded; a lane that stays took its
+    trial when its step count grew, and a lane that stops took it when it
+    returns the trial's knots.  The first record of a lane is its start.
+    """
+    lanes = A._Lanes(gr.N1.shape[1], A._REFINE_MAXITER, len(seeds))
     lanes.add(np.arange(len(seeds)), tables, np.stack(seeds))
     fg = A._cost_evaluator(gr)
     scored = []
@@ -664,6 +683,17 @@ def test_lane_costs_never_increase_and_the_last_iterate_is_the_result():
                 took = after[o] == steps + 1
             if took:
                 accepted[o].append((c, u))
+    return accepted, warps
+
+
+def test_lane_costs_never_increase_and_the_last_iterate_is_the_result():
+    # the accepted costs of a lane never increase, and it returns its last
+    # accepted iterate and that cost
+    gr = _block_grams(np.random.default_rng(7), 3)
+    ts = np.linspace(0.0, 1.0, 40)
+    tables = [0, 4, 1, 1, 5, 2, 3]
+    seeds = [A._presmooth_warp(ts ** (0.5 + 0.15 * k)) for k in range(len(tables))]
+    accepted, warps = _accepted_steps(gr, tables, seeds)
     assert sum(len(a) for a in accepted.values()) > 100
     for t, o in zip(tables, accepted):
         costs = [c for c, _ in accepted[o]]
@@ -673,11 +703,45 @@ def test_lane_costs_never_increase_and_the_last_iterate_is_the_result():
         assert abs(last - costs[-1]) <= 1e-12 * costs[-1]
 
 
+def test_lanes_stop_once_an_accepted_step_gains_less_than_the_tolerance():
+    # pairs of the two-class collection (7 per class, n=6, T=15, separation
+    # 2, seed 0) at grid 100, in one Gram block, each with the seeds of both
+    # directions as the warp search makes them.  Their lanes crawl along
+    # kinks of the warp cost: without the flat-step stop, 11 of their 12
+    # lanes took accepted steps that gained less than _REFINE_RTOL of the
+    # cost, down to 3e-15, and one lane took 374 steps.  Every accepted step
+    # but a lane's last lowers the cost by at least _REFINE_RTOL times the
+    # new cost, and no lane reaches the cap
+    coll = gen_two_class(7, 6, 15, 2.0, 0)
+    pairs = [(0, 4), (4, 6), (4, 12)]
+    T = 100
+    dt, ts = 1.0 / (T - 1), np.linspace(0.0, 1.0, T)
+    feats = {i: A._trajectory_features(resample_trajectory(coll.trajectories[i], T), False, None)
+             for i in {i for pair in pairs for i in pair}}
+    gr = A._PairGrams.empty(len(pairs), T)
+    for slot, (i, j) in enumerate(pairs):
+        A._enter_search(gr, slot, feats[i], feats[j])
+    paths = [(pi * dt, pj * dt) for pi, pj in A._dp_lattice(gr, dt)]
+    tables, seeds = [], []
+    for slot in range(len(pairs)):
+        for e, g0 in A._seed_warps([paths[slot], paths[len(pairs) + slot]], ts):
+            tables.append(slot + e * len(pairs))
+            seeds.append(g0)
+    accepted, _ = _accepted_steps(gr, tables, seeds)
+    for steps in accepted.values():
+        costs = [c for c, _ in steps]  # the start, then one per step
+        assert len(costs) <= A._REFINE_MAXITER
+        assert all(a - b >= A._REFINE_RTOL * b for a, b in zip(costs[:-2], costs[1:-1]))
+    assert sum(len(a) for a in accepted.values()) > 100
+
+
 def test_project_slopes_rows_match_one_row_projections():
     # a stack mixing rows that finish after one Newton step, after several,
-    # and at the 64-iteration cap: a widely spread row whose shift is large
-    # can leave its sum more than 1e-15 from 1 for good.  Every row equals
-    # its one-row projection and the scalar loop's projection, bit for bit
+    # and at their roundoff: a widely spread row whose shift is large cannot
+    # bring its sum within 1e-15 of 1, and it stopped only at the
+    # 64-iteration cap before the stop scaled with the shift.  Every row
+    # equals its one-row projection and the scalar loop's projection, bit
+    # for bit, and the scalar loop ends before the cap
     dt = 1.0 / 99
     rng = np.random.default_rng(5)
     capped = []
@@ -699,8 +763,9 @@ def test_project_slopes_rows_match_one_row_projections():
     ])
     U = A._project_slopes(Y, dt)
     for y, u in zip(Y, U):
+        ref, steps = _reference_projection_steps(y, dt)
         assert np.array_equal(u, A._project_slopes(y[None], dt)[0])
-        assert np.array_equal(u, _reference_projection(y, dt))
+        assert np.array_equal(u, ref) and steps < 64
     assert abs(U[0].sum() - 1.0) > 1e-15 and abs(U[4].sum() - 1.0) > 1e-15
 
 
