@@ -13,8 +13,8 @@ Both work on stacked samples.  Resampling (``resample_trajectory``,
 and evaluates all output points on it together.  The TSRVF features are
 built in one pass: each consecutive pair of samples is decomposed once,
 which gives the forward velocity and the transport rotation (transport
-backwards along a geodesic is the transpose), the latter by Newton-Schulz
-steps (`geometry.log_map_and_rotation`).  The backward difference at the
+backwards along a geodesic is the transpose), both from one SVD
+(`geometry.log_map_and_rotation`).  The backward difference at the
 last sample, carried back to the start, equals the row before it, since a
 geodesic's velocity is parallel along it.
 
@@ -60,9 +60,8 @@ rows straight into their result.  A stage then holds its inputs, its
 output and one block of temporaries, not several stacks: at n=100 a
 100-sample stack is 8 MB and a block is 16 matrices.  Every per-matrix
 LAPACK call and every row sum is the one the whole stack would make, so
-the results do not depend on the budget; only the number of Newton-Schulz
-steps of the transport rotations is decided per block.  A small-n
-trajectory fits in one block.
+the results do not depend on the budget.  A small-n trajectory fits in one
+block.
 """
 from __future__ import annotations
 

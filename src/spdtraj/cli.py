@@ -42,6 +42,9 @@ class CliConfigError(Exception):
 
 
 _THREADS_HELP = "accepted for compatibility; has no effect (pairs run serially)"
+# The largest --grid.  A warp search's lattice tables have grid^2 cells: one
+# n=6 pair peaks at about 132 MB at this grid, and needs 763 MiB at 20000.
+_GRID_MAX = 2000
 
 
 class _Manifest:
@@ -89,6 +92,12 @@ def _check_at_least(args: argparse.Namespace, **minimums) -> None:
         value = getattr(args, name)
         if value is not None and not value >= least:
             raise CliConfigError(f"--{name.replace('_', '-')} must be at least {least}, got {value}")
+
+
+def _check_grid(args: argparse.Namespace) -> None:
+    """Reject ``--grid`` above `_GRID_MAX` before any input is read."""
+    if args.grid > _GRID_MAX:
+        raise CliConfigError(f"--grid must be at most {_GRID_MAX}, got {args.grid}")
 
 
 def _load_items(paths: list[str], items_mode: str):
@@ -283,6 +292,7 @@ def _cmd_reduce(args) -> int:
 
 def _cmd_distance(args) -> int:
     _check_at_least(args, grid=2, w_det=0)
+    _check_grid(args)
     man = _Manifest("distance", _config_dict(args))
     ids, trajs, reduction = _load_collection(args, man)
     man.start("distances")
@@ -339,6 +349,7 @@ def _cmd_distance(args) -> int:
 
 def _cmd_classify(args) -> int:
     _check_at_least(args, grid=2, folds=2, k=1, seed=0)
+    _check_grid(args)
     man = _Manifest("classify", _config_dict(args))
     man.add_input(args.labels)
     label_map = io.load_labels_csv(args.labels)
@@ -433,6 +444,7 @@ def _random_trajectory(rng, n: int, T: int) -> CovarianceTrajectory:
 
 def _cmd_bench(args) -> int:
     _check_at_least(args, grid=2, reps=1)
+    _check_grid(args)
     man = _Manifest("bench", _config_dict(args))
     sizes = [int(s) for s in args.sizes.split(",") if s]
     if not sizes or any(s < 2 for s in sizes):

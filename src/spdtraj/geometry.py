@@ -18,20 +18,19 @@ product ``sum(V * W)``, ``exp_map(P, V) = sqrt(P expm(2V) P)``, and parallel
 transport from ``P1`` to ``P2`` is conjugation by the orthogonal matrix
 ``O = P2^-1 P1 sqrt(P1^-1 P2^2 P1^-1)``.
 
-All of these come from one matrix per pair, ``M = P1^-1 P2^2 P1^-1``
-(`pair_matrix`), and its eigendecomposition: the distance from its
-eigenvalues, the log map ``log(M)/2``, the geodesic ``sqrt(P1 M^t P1)`` and
-the transport rotation as the polar factor of ``P2^-1 P1 M^(1/2)``.  That
-matrix is orthogonal in exact arithmetic, so its polar factor is reached by
-Newton-Schulz steps ``X <- X (3I - X^T X) / 2`` (Bjorck & Bowie, SIAM J.
-Numer. Anal. 8(2), 1971; Higham, *Functions of Matrices*, 2008, ch. 8), two
-matrix products each, not by an SVD.  The pair kernels and the matrix
-functions take stacks ``(..., n, n)`` (the Geomstats convention; Miolane et
-al., JMLR 21, 2020), so a trajectory's consecutive pairs are decomposed in
-one call, once each.  A stack of pairs solves for ``Y = P1^-1 P2``, one LU
-per pair; the distance takes ``Y`` from the first operand's inverse instead,
-which a collection computes once per item, not once per pair
-(`dist_unitdet`).
+The pair quantities come from ``Y = P1^-1 P2``, one LU per pair.  The
+distance and the geodesic ``sqrt(P1 M^t P1)`` use the eigendecomposition of
+the pair matrix ``M = Y Y^T = P1^-1 P2^2 P1^-1`` (`pair_matrix`), which
+costs less than an SVD of Y.  The log map ``log(M)/2`` and the transport
+rotation come from one SVD ``Y = U S W^T`` instead: the log map is ``U
+log(S) U^T`` and the rotation is ``W U^T``, orthogonal by construction
+(Higham, *Functions of Matrices*, 2008, ch. 8), with singular values that
+carry Y's condition number, not M's, its square.  The pair kernels and the
+matrix functions take stacks ``(..., n, n)`` (the Geomstats convention;
+Miolane et al., JMLR 21, 2020), so a trajectory's consecutive pairs are
+decomposed in one call, once each.  The distance takes ``Y`` from the first
+operand's inverse, which a collection computes once per item, not once per
+pair (`dist_unitdet`).
 
 A long stack is walked in blocks of at most `_BLOCK_BYTES` of matrices
 (`_blocks`), so that a stage holds one block of temporaries beside its
@@ -53,13 +52,6 @@ EPS_PD = 1e-12
 UNIT_DET_TOL = 1e-8
 # |trace| tolerance for tangent coordinates at a unit-determinant base.
 TRACE_TOL = 1e-8
-# A transport rotation whose raw ||O^T O - I||_F reaches this is rejected:
-# Newton-Schulz converges only for singular values in (0, sqrt 3), and this
-# keeps them in (0.7, 1.3).
-ORTHO_DEFECT_MAX = 0.5
-# Newton-Schulz about squares the defect per step, so one more step from
-# below this leaves it at roundoff.
-_NS_LAST_STEP = 1e-8
 # Stages that would build temporaries the size of a whole (T, n, n) stack walk
 # it in blocks of at most this many bytes of matrices (16 at n=100), and at
 # least one matrix (`_blocks`).
@@ -216,8 +208,8 @@ def pair_matrix(P1: np.ndarray, P2: np.ndarray) -> np.ndarray:
     """``M = P1^-1 P2^2 P1^-1`` of matrices or stacks ``(..., n, n)``, unchecked.
 
     M is symmetric by construction and positive definite for nonsingular
-    ``P2``; every pair quantity of the quotient metric derives from it.
-    Stacked products are not exactly symmetric, so M is symmetrized.
+    ``P2``; the geodesic points and `reduction` derive from it.  Stacked
+    products are not exactly symmetric, so M is symmetrized.
     """
     Y = np.linalg.solve(P1, P2)
     M = Y @ _mT(Y)
@@ -230,44 +222,18 @@ def log_map_and_rotation(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Log-map coordinates and transport rotations of stacked pairs ``P1 -> P2``.
 
-    One decomposition of each pair matrix gives both; this is what a
-    trajectory's consecutive samples need.  The rotation ``O = P2^-1 P1
-    M^(1/2)`` is orthogonal in exact arithmetic; Newton-Schulz steps carry
-    it to its polar factor (`_polar_factor`).  A pair whose raw ``O`` is
-    too far from orthogonal for them, ``||O^T O - I||_F >=
-    ORTHO_DEFECT_MAX``, is too ill-conditioned for its rotation to mean
-    anything, and raises ValueError.  Inputs are not checked otherwise.
+    One SVD ``Y = P1^-1 P2 = U S W^T`` per pair gives both; this is what a
+    trajectory's consecutive samples need.  ``M = Y Y^T = U S^2 U^T``, so
+    the log map is ``U log(S) U^T``, and the rotation ``O = P2^-1 P1
+    M^(1/2) = W S^-1 U^T U S U^T`` is ``W U^T``, orthogonal by
+    construction.  The singular values carry the pair's condition number,
+    not its square, as eigenvalues of ``Y Y^T`` would.  A pair whose
+    ``S^2``, the eigenvalues of M, falls below EPS_PD raises
+    NotPositiveDefiniteError.  Inputs are not checked otherwise.
     """
-    w, U = _eigh_pd(pair_matrix(P1, P2))
-    V = _spectral(U, 0.5 * np.log(w))
-    O = P1 @ _spectral(U, np.sqrt(w))
-    del U  # stacks can be large: hold at most four at a time
-    O = np.linalg.solve(P2, O)
-    return V, _polar_factor(O)
-
-
-def _polar_factor(X: np.ndarray) -> np.ndarray:
-    """Orthogonal polar factors of nearly orthogonal matrices ``(..., n, n)``, in place.
-
-    Newton-Schulz steps ``X <- X - X (X^T X - I) / 2`` on the whole stack:
-    at least one, and one more after the largest ``||X^T X - I||_F`` falls
-    below `_NS_LAST_STEP`, which leaves it at roundoff.
-    """
-    eye = np.eye(X.shape[-1])
-    while True:
-        E = _mT(X) @ X
-        E -= eye
-        defect = float(np.linalg.norm(E, axis=(-2, -1)).max(initial=0.0))
-        if not defect < ORTHO_DEFECT_MAX:  # NaN too
-            raise ValueError(
-                f"transport rotation is not orthogonal (||O^T O - I|| = {defect:.3e}): "
-                f"the pair is too ill-conditioned"
-            )
-        E = X @ E  # the step; stacks can be large: hold at most three at a time
-        E *= 0.5
-        X -= E
-        if defect <= _NS_LAST_STEP:
-            return X
+    U, s, Wt = np.linalg.svd(np.linalg.solve(P1, P2))
+    _require_pd(s[..., -1:] ** 2, "pair matrix")
+    return _spectral(U, np.log(s)), _mT(Wt) @ _mT(U)
 
 
 def geodesic_points(
@@ -317,9 +283,8 @@ def log_map(P1: np.ndarray, P2: np.ndarray) -> np.ndarray:
     P1 = check_square(P1, "P1")
     P2 = check_square(P2, "P2")
     check_same_dim(P1, P2)
-    _eigh_pd(P2)  # M is positive definite for any nonsingular P2
-    w, U = _eigh_pd(pair_matrix(P1, P2))
-    return _spectral(U, 0.5 * np.log(w))
+    _eigh_pd(P2)  # the SVD takes any nonsingular P2; the map needs an SPD one
+    return log_map_and_rotation(P1, P2)[0]
 
 
 def dist_unitdet(
@@ -401,9 +366,8 @@ def transport_rotation(P1: np.ndarray, P2: np.ndarray) -> np.ndarray:
     """Orthogonal matrix O realizing parallel transport P1 -> P2 by conjugation.
 
     In identity-chart coordinates the transported vector is ``O V O^T``.
-    O = P2^-1 P1 P12 is orthogonal in exact arithmetic; Newton-Schulz steps
-    carry it to its polar factor, and a pair too ill-conditioned for that
-    raises ValueError (`log_map_and_rotation`).
+    ``O = P2^-1 P1 M^(1/2)`` is ``W U^T`` from the SVD ``P1^-1 P2 = U S
+    W^T``, orthogonal by construction (`log_map_and_rotation`).
     """
     P1 = check_square(P1, "P1")
     P2 = check_square(P2, "P2")

@@ -1031,9 +1031,7 @@ def _pair_stages(f1, f2, grid):
 
 @pytest.mark.parametrize("include_logdet", [False, True])
 def test_one_matrix_blocks_give_the_one_block_results(monkeypatch, include_logdet):
-    # every per-matrix call and per-row sum is the one the whole stack makes;
-    # only the Newton-Schulz step count is decided per block, so the features
-    # may differ at roundoff
+    # every per-matrix call and per-row sum is the one the whole stack makes
     from spdtraj.cli import _random_trajectory
     from spdtraj.simgen import derived_rng
 
@@ -1057,7 +1055,7 @@ def test_one_matrix_blocks_give_the_one_block_results(monkeypatch, include_logde
         assert r1._split[1].tobytes() == r0._split[1].tobytes()
     for f0, r in zip(feats, resampled):
         f1 = A._trajectory_features(r, include_logdet, None)
-        assert np.abs(f1.q - f0.q).max() <= 1e-14 * np.abs(f0.q).max()
+        assert f1.q.tobytes() == f0.q.tobytes()
         assert f1.start.tobytes() == f0.start.tobytes()
     q1p, gr, identity, dc = _pair_stages(*feats, grid)
     assert q1p.tobytes() == whole[0].tobytes()
@@ -1067,11 +1065,12 @@ def test_one_matrix_blocks_give_the_one_block_results(monkeypatch, include_logde
 
 
 def test_rotation_rejection_fires_in_a_later_block(monkeypatch):
-    # three constant pairs, then one whose raw transport rotation is no rotation
+    # three constant pairs, then one whose pair matrix has a smallest
+    # eigenvalue of 2.07e-14
     from conftest import spread_unitdet_pair
 
     P1, P2 = spread_unitdet_pair(3, 1e7, 0, (0.5, np.inf))
     traj = CovarianceTrajectory(matrices=np.stack([P1, P1, P1, P1, P2]))
     monkeypatch.setattr(geometry, "_BLOCK_BYTES", 1)
-    with pytest.raises(ValueError, match="not orthogonal"):
+    with pytest.raises(geometry.NotPositiveDefiniteError, match="pair matrix is not positive"):
         A._trajectory_features(traj, False, None)

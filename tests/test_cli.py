@@ -163,7 +163,7 @@ def test_distance_mixed_dims_exit_2(tmp_path, twoclass_dir, capsys):
 
 
 def test_distance_ill_conditioned_pair_exit_1(tmp_path, capsys):
-    # consecutive samples whose transport rotation is no rotation at all
+    # consecutive samples whose pair matrix has a smallest eigenvalue of 2.07e-14
     from conftest import spread_unitdet_pair
     from spdtraj.estimation import CovarianceTrajectory
 
@@ -177,7 +177,7 @@ def test_distance_ill_conditioned_pair_exit_1(tmp_path, capsys):
             "--out", str(tmp_path / "d.csv")]
     assert run(argv) == 1
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: transport rotation is not orthogonal")
+    assert len(err) == 1 and err[0].startswith("error: pair matrix is not positive definite")
 
 
 def test_distance_point_and_trajectory_match_constant_copy(tmp_path, rng):
@@ -478,6 +478,25 @@ def test_grid_below_two_exit_2(tmp_path, twoclass_dir, capsys, command, grid):
     assert run(argv) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "--grid must be at least 2" in err
+
+
+@pytest.mark.parametrize("grid", ["2001", "100000000"])
+@pytest.mark.parametrize("command", ["distance", "classify", "bench"])
+def test_grid_above_the_cap_exit_2(tmp_path, capsys, command, grid):
+    # the inputs do not exist: the grid is rejected before any file is read
+    inputs = [str(tmp_path / f"missing{k}.spdt") for k in range(2)]
+    out = tmp_path / "out.csv"
+    argv = {
+        "distance": ["distance", *inputs, "--metric", "dq"],
+        "classify": ["classify", *inputs, "--labels", str(tmp_path / "missing.csv")],
+        "bench": ["bench", "--sizes", "3"],
+    }[command] + ["--grid", grid, "--out", str(out)]
+    capsys.readouterr()
+    assert run(argv) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"configuration error: --grid must be at most 2000, got {grid}"
+    ]
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

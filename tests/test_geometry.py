@@ -12,9 +12,9 @@ from conftest import (
     spread_unitdet_pair,
 )
 from spdtraj.geometry import (
+    EPS_PD,
     DimensionMismatchError,
     NotPositiveDefiniteError,
-    _polar_factor,
     dist_full,
     dist_unitdet,
     exp_map,
@@ -407,7 +407,7 @@ def test_transport_dimension_mismatch(rng):
 
 
 # ---------------------------------------------------------------------------
-# the transport rotation's polar step
+# the log map and transport rotation from one SVD
 
 
 def _svd_polar(X):
@@ -417,7 +417,10 @@ def _svd_polar(X):
 
 def test_polar_step_on_the_exp2_transport_stack():
     # the consecutive samples of exp2's n=100 trajectory on a 100-point grid:
-    # the raw rotations are orthogonal to roundoff already
+    # the rotation is the polar factor of its definition P2^-1 P1 M^(1/2).
+    # W U^T multiplies two LAPACK orthogonal factors at n=100, so it is
+    # orthogonal to a few eps: 3.3e-15 here, where numpy's own polar factor
+    # u @ vt reads 2.2e-15
     from spdtraj.alignment import resample_trajectory
     from spdtraj.estimation import normalize_trajectory
     from spdtraj.simgen import Exp2Config, gen_exp2
@@ -427,36 +430,49 @@ def test_polar_step_on_the_exp2_transport_stack():
     P1, P2 = unit.matrices[:-1], unit.matrices[1:]
     raw = raw_rotation(P1, P2)
     assert ortho_defect(raw) < 1e-13
-    assert ortho_defect(log_map_and_rotation(P1, P2)[1]) <= 1e-15
-    O = _polar_factor(raw.copy())
-    assert ortho_defect(O) <= 1e-15
+    O = log_map_and_rotation(P1, P2)[1]
+    assert ortho_defect(O) <= 5e-15
     assert np.abs(O - _svd_polar(raw)).max() <= 2e-15
 
 
-def test_polar_step_iterates_to_roundoff():
-    # cond 1e4 at n=6: one Newton-Schulz step is not enough
-    P1, P2 = spread_unitdet_pair(6, 1e4, 0, (1e-5, 1e-2))
-    raw = raw_rotation(P1, P2)
-    one_step = raw - 0.5 * raw @ (raw.T @ raw - np.eye(6))
-    assert ortho_defect(one_step) > 1e-12
-    O = _polar_factor(raw.copy())
-    assert ortho_defect(O) <= 1e-14
-    assert np.abs(O - _svd_polar(raw)).max() <= 1e-12
-    # the library's own raw O differs from this one by roundoff, which the
-    # pair's conditioning amplifies; its polar factor is orthogonal all the same
-    assert ortho_defect(log_map_and_rotation(P1[None], P2[None])[1]) <= 1e-14
-    assert ortho_defect(transport_rotation(P1, P2)) <= 1e-14
+def _oracle_log_map_and_rotation(P1, P2):
+    """Log map, rotation and singular values of ``P1^-1 P2`` from a 40-digit SVD."""
+    import mpmath as mp
+
+    with mp.workdps(40):
+        U, S, Wt = mp.svd_r(mp.inverse(mp.matrix(P1.tolist())) * mp.matrix(P2.tolist()))
+        L = U * mp.diag([mp.log(s) for s in S]) * U.T
+        O = (U * Wt).T
+        return (
+            np.array(L.tolist(), dtype=float),
+            np.array(O.tolist(), dtype=float),
+            np.array([float(s) for s in S]),
+        )
 
 
 @pytest.mark.parametrize("n, cond", [(3, 1e7), (30, 1e5)])
-def test_rotation_far_from_orthogonal_is_rejected(n, cond):
-    # these pairs pass the positive-definiteness checks, but their raw O is
-    # no rotation; its polar factor would be a silently wrong transport
+def test_ill_conditioned_pair_matches_the_oracle(n, cond):
+    # forming M = Y Y^T squares these pairs' condition numbers: at n=3 the
+    # Gram product reads M's smallest eigenvalue as 1.6e-3, the oracle as
+    # 2.07e-14, below EPS_PD, so the pair is rejected with the oracle's value.
+    # The n=30 pair is positive definite.
     P1, P2 = spread_unitdet_pair(n, cond, 0, (0.5, np.inf))
-    with pytest.raises(ValueError, match="not orthogonal"):
-        log_map_and_rotation(P1[None], P2[None])
-    with pytest.raises(ValueError, match="not orthogonal"):
-        transport_rotation(P1, P2)
+    L, O, S = _oracle_log_map_and_rotation(P1, P2)
+    smallest = S.min() ** 2
+    assert (smallest < EPS_PD) == (n == 3)
+    if smallest < EPS_PD:
+        for call in (lambda: log_map_and_rotation(P1[None], P2[None]),
+                     lambda: transport_rotation(P1, P2), lambda: log_map(P1, P2)):
+            with pytest.raises(NotPositiveDefiniteError, match="pair matrix") as info:
+                call()
+            read = float(str(info.value).split("smallest eigenvalue ")[1].split()[0])
+            assert abs(read - smallest) <= 0.01 * smallest
+        return
+    V, R = log_map_and_rotation(P1[None], P2[None])
+    assert np.abs(R[0] - O).max() <= 1e-8
+    assert np.abs(V[0] - L).max() <= 1e-8 * np.abs(L).max()
+    assert np.array_equal(transport_rotation(P1, P2), R[0])
+    assert np.array_equal(log_map(P1, P2), V[0])
 
 
 # ---------------------------------------------------------------------------
