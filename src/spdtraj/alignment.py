@@ -8,14 +8,16 @@ distance between start points with the L2 gap between TSRVFs (the first one
 carried across the baseline geodesic).  The aligned distance ``align_dq``
 minimizes that gap over endpoint-preserving time warps.
 
-Both work on stacked samples.  Resampling (``resample_trajectory``,
-``evaluate_trajectory``, ``apply_warp``) decomposes each input interval once
-and evaluates all output points on it together.  The TSRVF features are
-built in one pass: each consecutive pair of samples is decomposed once,
-which gives the forward velocity and the transport rotation (transport
-backwards along a geodesic is the transpose), both from one SVD
-(`geometry.log_map_and_rotation`).  The backward difference at the
-last sample, carried back to the start, equals the row before it, since a
+Both work on stacked samples.  One walk over a trajectory's input samples
+(`_walk`) gives its values at new times, a block at a time: it decomposes
+each input interval once and builds the block's points on it together.
+Resampling (``resample_trajectory``, ``evaluate_trajectory``,
+``apply_warp``) gathers the blocks into a stack.  The TSRVF features take
+them as they come, in one pass: each consecutive pair of points is
+decomposed once, which gives the forward velocity and the transport rotation
+(transport backwards along a geodesic is the transpose), both from one SVD
+(`geometry.log_map_and_rotation`).  The backward difference at the last
+sample, carried back to the start, equals the row before it, since a
 geodesic's velocity is parallel along it.
 
 The warp search follows the fast approximation: dynamic programming over
@@ -48,19 +50,22 @@ do not depend on the other pairs.
 Trajectories are determinant-normalized before comparison, and before they
 are resampled: in exact arithmetic that is the same as after, since the
 quotient geodesic keeps the determinant at one and the log-det track
-interpolates linearly.  ``resample_trajectory`` keeps the split, so the
-features decompose no resampled sample again.  The scalar log-det track can
+interpolates linearly.  The walk runs on the unit-determinant parts, so
+neither the features nor ``resample_trajectory``, which keeps the split,
+decompose a resampled sample again.  The scalar log-det track can
 optionally be carried along as an extra flat channel with weight ``w_det``.
 
 Memory: the stages that would build temporaries the size of a whole
-``(T, n, n)`` stack (resampling, the TSRVF features, their transport, the
-Gram tables' row sums and the unaligned integrand) walk it in blocks of
-one fixed byte budget, `geometry._BLOCK_BYTES`, and write each block's
-rows straight into their result.  A stage then holds its inputs, its
-output and one block of temporaries, not several stacks: at n=100 a
-100-sample stack is 8 MB and a block is 16 matrices.  Every per-matrix
-LAPACK call and every row sum is the one the whole stack would make, so
-the results do not depend on the budget.  A small-n trajectory fits in one
+``(T, n, n)`` stack (the walk, the TSRVF features, their transport, the
+Gram tables' row sums and the unaligned integrand) go in blocks of one
+fixed byte budget, `geometry._BLOCK_BYTES`, and write each block's rows
+straight into their result.  A stage then holds its inputs, its output and
+a few blocks, not several stacks: at n=100 a 100-sample stack is 8 MB and a
+block is 16 matrices.  So the features hold no resampled stack.  Only the
+warp search's Gram product takes a pair's transported rows whole, in one
+GEMM, since a GEMM over blocks of rows gives other bits.  Every per-matrix
+LAPACK call, GEMM and row sum is the one the whole stack would make, so the
+results do not depend on the budget.  A small-n trajectory fits in one
 block.
 """
 from __future__ import annotations
@@ -80,10 +85,12 @@ from .estimation import (
 from .geometry import (
     DimensionMismatchError,
     _blocks,
-    _geodesic_points,
+    _eigh_pd,
+    _geodesic_block,
     dist_unitdet,
     log_map,  # unused here; perfbench/tracer.py wraps alignment.log_map
     log_map_and_rotation,
+    pair_matrix,
     transport_rotation,
 )
 
@@ -164,13 +171,17 @@ class TrajectoryPair:
             )
 
 
-def _evaluate(traj: CovarianceTrajectory, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Trajectory values at times ``s`` by geodesic interpolation of stored samples.
+def _walk(traj: CovarianceTrajectory, s: np.ndarray):
+    """Trajectory values at times ``s``, one block of `geometry._blocks` at a time.
 
-    Points within 1e-12 (relative to their interval) of a stored sample take
-    that sample; the others are interpolated, decomposing each input
-    interval once for all points on it.  Also returns the smallest
-    eigenvalue of each interpolated value, and inf for a stored sample.
+    Yields ``(block, values, smallest)``: a slice of ``s``, the values at
+    those times and the smallest eigenvalue of each interpolated value, inf
+    for a stored sample.  Points within 1e-12 (relative to their interval)
+    of a stored sample take that sample; the others lie on the geodesic of
+    their input interval (`geometry._geodesic_block`).  An interval's pair
+    matrix is decomposed in the first block with a point on it, and the
+    decomposition of a block's last interval carries into the next block, so
+    for increasing ``s`` each interval is decomposed once.
     """
     times, mats = traj.times, traj.matrices
     bad = (s < times[0] - 1e-12) | (s > times[-1] + 1e-12)
@@ -178,23 +189,69 @@ def _evaluate(traj: CovarianceTrajectory, s: np.ndarray) -> tuple[np.ndarray, np
         raise ValueError(
             f"time {s[bad][0]} outside trajectory range [{times[0]}, {times[-1]}]"
         )
-    smallest = np.full(s.size, np.inf)
-    if traj.length == 1:
-        return np.repeat(mats, s.size, axis=0), smallest
-    s = np.clip(s, times[0], times[-1])
-    k = np.clip(np.searchsorted(times, s, side="right") - 1, 0, traj.length - 2)
-    u = (s - times[k]) / (times[k + 1] - times[k])
+    n = traj.dim
+    # a one-sample trajectory has no interval: every time reads its sample
+    k, u = np.zeros(s.size, dtype=np.intp), np.zeros(s.size)
+    if traj.length > 1:
+        s = np.clip(s, times[0], times[-1])
+        k = np.clip(np.searchsorted(times, s, side="right") - 1, 0, traj.length - 2)
+        u = (s - times[k]) / (times[k + 1] - times[k])
     inner = (u > 1e-12) & (u < 1 - 1e-12)
-    ks, pair = np.unique(k[inner], return_inverse=True)
-    points, smallest[inner] = _geodesic_points(mats[ks], mats[ks + 1], pair, u[inner])
-    out = mats[np.where(u >= 1 - 1e-12, k + 1, k)]
-    out[inner] = points
-    return out, smallest
+    stored = np.where(u >= 1 - 1e-12, k + 1, k)
+    carried = -1, np.empty(n), np.empty((n, n))  # the last decomposed interval
+
+    def block(b: slice) -> tuple[np.ndarray, np.ndarray]:
+        nonlocal carried
+        values = mats[stored[b]]
+        smallest = np.full(values.shape[0], np.inf)
+        i = inner[b]
+        if i.any():
+            ks, j = np.unique(k[b][i], return_inverse=True)
+            w, U = np.empty((ks.size, n)), np.empty((ks.size, n, n))
+            new = ks != carried[0]
+            w[~new], U[~new] = carried[1:]
+            if new.any():
+                w[new], U[new] = _eigh_pd(pair_matrix(mats[ks[new]], mats[ks[new] + 1]))
+            carried = ks[-1], w[-1].copy(), U[-1].copy()
+            values[i], smallest[i] = _geodesic_block(mats[ks], w, U, j, u[b][i])
+        return values, smallest
+
+    # no name here holds a yielded block, so a caller that drops it frees it
+    for b in _blocks(mats, s.size):
+        yield b, *block(b)
+
+
+def _evaluate(traj: CovarianceTrajectory, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Trajectory values at times ``s`` by geodesic interpolation of stored samples (`_walk`).
+
+    Also returns the smallest eigenvalue of each interpolated value, and inf
+    for a stored sample.
+    """
+    values = np.empty((s.size, traj.dim, traj.dim))
+    smallest = np.empty(s.size)
+    for b, block, least in _walk(traj, s):
+        values[b], smallest[b] = block, least
+    return values, smallest
 
 
 def evaluate_trajectory(traj: CovarianceTrajectory, s: float) -> np.ndarray:
     """Trajectory value at time ``s`` by geodesic interpolation of stored samples."""
     return _evaluate(traj, np.array([float(s)]))[0][0]
+
+
+def _resampling(traj: CovarianceTrajectory, T_out: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """The times at which resampling onto ``T_out`` points reads ``traj``, and the result's times.
+
+    None when ``traj`` already lies on that uniform grid: it is its own
+    resampling.
+    """
+    if T_out == traj.length and np.allclose(
+        traj.times, np.linspace(traj.times[0], traj.times[-1], T_out)
+    ):
+        return None
+    if T_out == 1:
+        return traj.times[:1], np.zeros(1)
+    return np.linspace(traj.times[0], traj.times[-1], T_out), np.linspace(0.0, 1.0, T_out)
 
 
 def resample_trajectory(traj: CovarianceTrajectory, T_out: int) -> CovarianceTrajectory:
@@ -209,18 +266,16 @@ def resample_trajectory(traj: CovarianceTrajectory, T_out: int) -> CovarianceTra
     """
     if T_out < 1:
         raise ValueError("T_out must be positive")
-    if T_out == traj.length and np.allclose(
-        traj.times, np.linspace(traj.times[0], traj.times[-1], T_out)
-    ):
+    grid = _resampling(traj, T_out)
+    if grid is None:
         return traj
-    s_new = np.linspace(traj.times[0], traj.times[-1], T_out) if T_out > 1 else traj.times[:1]
+    s, times = grid
     unit, track = normalize_trajectory(traj)
-    units, smallest = _evaluate(unit, s_new)
-    track = np.interp(s_new, traj.times, track)
+    units, smallest = _evaluate(unit, s)
+    track = np.interp(s, traj.times, track)
     scale = np.exp(track)
     _require_pd_samples(smallest * scale)  # the stored samples were checked
     mats = units * scale[:, None, None]
-    times = np.linspace(0.0, 1.0, T_out) if T_out > 1 else np.zeros(1)
     for a in (mats, units, track, times):
         a.flags.writeable = False
     return _built(mats, times, split=(_built(units, times), track))
@@ -253,47 +308,70 @@ def _chain_rotations(O: np.ndarray, R: np.ndarray) -> np.ndarray:
 
 
 def _trajectory_features(
-    traj: CovarianceTrajectory, include_logdet: bool, w_det: float | None
+    traj: CovarianceTrajectory, grid: int, include_logdet: bool, w_det: float | None
 ) -> _Features:
-    """TSRVF of the determinant-normalized trajectory, one row per sample.
+    """TSRVF of ``traj`` resampled onto ``grid`` points and determinant-normalized.
 
-    Row k is the velocity at sample k (the forward geodesic difference, and
-    the backward one at the last sample), carried back to the start point and
-    scaled by the inverse square root of its speed; zero-speed rows are zero.
-    The consecutive pairs are decomposed one block at a time
-    (`geometry._blocks`): a running rotation carries the transport chain
-    from block to block, and each block's rows go straight into the result.
+    The rows are those of the features of ``resample_trajectory(traj,
+    grid)``, bit for bit, but no resampled stack is built: the walk over the
+    input samples (`_walk`) gives one block of unit-determinant points at a
+    time, and the block's consecutive pairs, with the previous block's last
+    point in front, go straight to `geometry.log_map_and_rotation`.  Row k
+    is the velocity at sample k (the forward geodesic difference, and the
+    backward one at the last sample), carried back to the start point by a
+    running rotation and scaled by the inverse square root of its speed;
+    zero-speed rows are zero.  Each block's rows are scaled as they are
+    written into the result, so the log-det channel's column costs no copy.
     """
-    if traj.length < 2:
+    if grid < 2:
         raise ValueError("TSRVF needs at least 2 samples")
     unit, track = normalize_trajectory(traj)
+    s = times = unit.times
+    resampled = _resampling(traj, grid)
+    if resampled is not None:
+        s, times = resampled
+        track = np.interp(s, traj.times, track)
     n = unit.dim
     if w_det is None:
         w_det = 1.0 / n
-    T = unit.length
-    mats, dts = unit.matrices, np.diff(unit.times)
-    q = np.empty((T, n * n + include_logdet))
-    qm = q[:, : n * n].reshape(T, n, n)  # a view: rows are written in place
-    speeds = np.empty(T)
+    dts = np.diff(times)
+    sdot = np.gradient(track, times) if include_logdet else None
+
+    def scale(rows: slice, speed: np.ndarray) -> np.ndarray:
+        if include_logdet:
+            speed = np.sqrt(speed**2 + w_det * sdot[rows] ** 2)
+        return np.where(speed > _ZERO_SPEED, 1.0 / np.sqrt(np.maximum(speed, _ZERO_SPEED)), 0.0)
+
+    q = np.empty((grid, n * n + include_logdet))
+    scales, smallest = np.empty(grid), np.empty(grid)
     R = np.eye(n)
-    for b in _blocks(mats[:-1]):
-        V, O = log_map_and_rotation(mats[b], mats[b.start + 1 : b.stop + 1])
-        V /= dts[b, None, None]
-        speeds[b] = np.linalg.norm(V, axis=(1, 2))
+    P = np.empty((0, n, n))  # the previous block's last point
+    for b, points, least in _walk(unit, s):
+        smallest[b] = least
+        P = np.concatenate([P, points])
+        del points
+        if P.shape[0] < 2:  # a first block of one point has no pair
+            continue
+        V, O = log_map_and_rotation(P[:-1], P[1:])
+        P = P[-1:].copy()
+        r = slice(b.stop - 1 - V.shape[0], b.stop - 1)  # the rows of the block's pairs
+        V /= dts[r, None, None]
+        speed = np.linalg.norm(V, axis=(1, 2))
+        scales[r] = scale(r, speed)
         R = _chain_rotations(O, R)
         RV = O @ V
-        np.matmul(RV, O.transpose(0, 2, 1), out=qm[b])
-        del V, O, RV  # before the next block is built
-    speeds[-1] = speeds[-2]
-    qm[-1] = qm[-2]
+        del V
+        rows = np.matmul(RV, O.transpose(0, 2, 1))
+        del O, RV
+        np.multiply(rows, scales[r, None, None], out=q[r, : n * n].reshape(-1, n, n))
+        last = rows[-1].copy()  # unscaled: the last sample's row repeats it
+        del rows  # before the next block is built
+    scales[-1:] = scale(slice(grid - 1, grid), speed[-1:])  # and so does its speed
+    np.multiply(last, scales[-1], out=q[-1, : n * n].reshape(n, n))
+    _require_pd_samples(smallest * np.exp(track))  # as `resample_trajectory` checks
     if include_logdet:
-        sdot = np.gradient(track, unit.times)
-        speeds = np.sqrt(speeds**2 + w_det * sdot**2)
-    scale = np.where(speeds > _ZERO_SPEED, 1.0 / np.sqrt(np.maximum(speeds, _ZERO_SPEED)), 0.0)
-    qm *= scale[:, None, None]
-    if include_logdet:
-        q[:, n * n] = np.sqrt(w_det) * sdot * scale
-    start = unit.matrices[0].copy()  # a view would keep the whole stack alive
+        q[:, n * n] = np.sqrt(w_det) * sdot * scales
+    start = unit.matrices[0].copy()  # the first point; a view would keep the stack alive
     return _Features(
         start=start,
         start_inv=np.linalg.inv(start),
@@ -305,17 +383,27 @@ def _trajectory_features(
     )
 
 
-def _transport_features(f1: _Features, f2: _Features) -> np.ndarray:
-    """Carry f1's TSRVF across the baseline geodesic to f2's start point, a block at a time."""
+def _transport(f1: _Features, f2: _Features, out: np.ndarray | None = None) -> float:
+    """Carry f1's TSRVF across the baseline geodesic to f2's start point; the identity cost.
+
+    The rows are transported a block at a time, and the cost is the
+    unaligned integral of ``||q1p - q2||^2`` by the trapezoid rule on the
+    grid.  The rows go into ``out`` when it is given: the warp search's Gram
+    product takes them whole, as one GEMM, since a GEMM over blocks of rows
+    does not give the same bits.  Otherwise each block is dropped once its
+    gaps are summed.
+    """
     O = transport_rotation(f1.start, f2.start)
     T, n = f1.q.shape[0], f1.n
     qm = f1.q[:, : n * n].reshape(T, n, n)
-    out = np.empty_like(f1.q)
-    moved = out[:, : n * n].reshape(T, n, n)
+    gaps = np.empty(T)
     for b in _blocks(qm):
-        np.matmul(O @ qm[b], O.T, out=moved[b])
-    out[:, n * n :] = f1.q[:, n * n :]
-    return out
+        rows = np.empty_like(f1.q[b]) if out is None else out[b]
+        np.matmul(O @ qm[b], O.T, out=rows[:, : n * n].reshape(-1, n, n))
+        rows[:, n * n :] = f1.q[b, n * n :]
+        gaps[b] = ((rows - f2.q[b]) ** 2).sum(axis=1)
+        del rows
+    return float(np.trapezoid(gaps, dx=1.0 / (T - 1)))
 
 
 def _row_sums(f, *arrays: np.ndarray) -> np.ndarray:
@@ -324,12 +412,6 @@ def _row_sums(f, *arrays: np.ndarray) -> np.ndarray:
     for b in _blocks(arrays[0]):
         out[b] = f(*(a[b] for a in arrays)).sum(axis=1)
     return out
-
-
-def _identity_cost(q1p: np.ndarray, q2: np.ndarray) -> float:
-    """The unaligned integral of ``||q1p - q2||^2``, by the trapezoid rule on the grid."""
-    gaps = _row_sums(lambda a, b: (a - b) ** 2, q1p, q2)
-    return float(np.trapezoid(gaps, dx=1.0 / (q2.shape[0] - 1)))
 
 
 def _start_gap_sq(f1: _Features, f2: _Features) -> float:
@@ -362,8 +444,7 @@ def _dc_from_features(f1: _Features, f2: _Features) -> float:
         return float(np.sqrt(_start_gap_sq(f1, f2)))
     if _swap_to_canonical(f1, f2):
         f1, f2 = f2, f1
-    integral = _identity_cost(_transport_features(f1, f2), f2.q)
-    return float(np.sqrt(_start_gap_sq(f1, f2) + integral))
+    return float(np.sqrt(_start_gap_sq(f1, f2) + _transport(f1, f2)))
 
 
 def dist_dc(
@@ -380,11 +461,12 @@ def dist_dc(
     grid (the longer of the two lengths).
     """
     T = max(pair.first.length, pair.second.length)
-    features = _trajectory_features if T > 1 else _point_features
-    f1, f2 = (
-        features(resample_trajectory(tr, T), include_logdet, w_det)
-        for tr in (pair.first, pair.second)
-    )
+    if T == 1:
+        f1, f2 = (_point_features(tr, include_logdet, w_det) for tr in (pair.first, pair.second))
+    else:
+        f1, f2 = (
+            _trajectory_features(tr, T, include_logdet, w_det) for tr in (pair.first, pair.second)
+        )
     return _dc_from_features(f1, f2)
 
 
@@ -432,13 +514,19 @@ class _PairGrams:
     def empty(cls, P: int, T: int) -> "_PairGrams":
         return cls(*(np.empty(s) for s in ((P, T), (P, T), (P, T, T), (P, T - 1), (P, T - 1))))
 
-    def fill(self, p: int, q1p: np.ndarray, q2: np.ndarray) -> None:
-        """Tables of pair ``p`` from q1 carried to q2's start point, and q2."""
+    def fill(self, p: int, f1: _Features, f2: _Features) -> float:
+        """Tables of pair ``p`` from f1's TSRVF carried to f2's start point, and f2's.
+
+        Returns the pair's identity cost (`_transport`).
+        """
+        q1p, q2 = np.empty_like(f1.q), f2.q
+        identity = _transport(f1, f2, q1p)
         self.N1[p] = _row_sums(np.square, q1p)
         self.N2[p] = _row_sums(np.square, q2)
         np.matmul(q1p, q2.T, out=self.G[p])
         self.C1[p] = _row_sums(np.multiply, q1p[:-1], q1p[1:])
         self.C2[p] = _row_sums(np.multiply, q2[:-1], q2[1:])
+        return identity
 
     def directed(self, slots=slice(None)) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``N1``, ``N2`` and ``C2`` of the directed tables of ``slots``: forward, then mirrored."""
@@ -902,12 +990,11 @@ def _enter_search(gr: _PairGrams, slot: int, f1: _Features, f2: _Features) -> _S
     swap = _swap_to_canonical(f1, f2)
     if swap:
         f1, f2 = f2, f1
-    q1p = _transport_features(f1, f2)
-    gr.fill(slot, q1p, f2.q)
     # identity cost in direct (per-sample nonnegative) form: exactly the
     # unaligned integrand in both directions, so d_q <= d_c holds with no
     # cancellation floor
-    return _Search(slot, swap, _start_gap_sq(f1, f2), _identity_cost(q1p, f2.q))
+    identity = gr.fill(slot, f1, f2)
+    return _Search(slot, swap, _start_gap_sq(f1, f2), identity)
 
 
 def _finish_search(fg, st: _Search, S: int, ts: np.ndarray):
@@ -959,8 +1046,7 @@ def align_dq(
     if grid < 2:
         raise ValueError("alignment grid must be at least 2")
     f1, f2 = (
-        _trajectory_features(resample_trajectory(tr, grid), include_logdet, w_det)
-        for tr in (pair.first, pair.second)
+        _trajectory_features(tr, grid, include_logdet, w_det) for tr in (pair.first, pair.second)
     )
     [(dq, _, warp, _, _)], _ = _dq_from_features([(f1, f2)])
     return dq, warp

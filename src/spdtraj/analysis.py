@@ -156,10 +156,7 @@ def distance_matrix(
         if points:
             feats = [_point_features(tr, include_logdet, w_det) for tr in trajectories]
         else:
-            feats = [
-                _trajectory_features(resample_trajectory(tr, grid), include_logdet, w_det)
-                for tr in trajectories
-            ]
+            feats = [_trajectory_features(tr, grid, include_logdet, w_det) for tr in trajectories]
 
         if metric == "dc" or points:
             def work(chunk):

@@ -35,10 +35,12 @@ pair (`dist_unitdet`).
 A long stack is walked in blocks of at most `_BLOCK_BYTES` of matrices
 (`_blocks`), so that a stage holds one block of temporaries beside its
 inputs and output, not several copies of the whole stack; the per-matrix
-calls are the same either way.  The geodesic points decompose their pairs
-once and build the points a block at a time, and the trajectory features
-(`alignment`) call `log_map_and_rotation` on one block of consecutive pairs
-at a time.
+calls are the same either way.  Geodesic points are built a block at a time
+by one builder (`_geodesic_block`) from pair decompositions made once per
+pair.  The trajectory walk of `alignment` decomposes each input interval in
+the first block that has a point on it and builds that block's points; the
+TSRVF features pass their consecutive pairs to `log_map_and_rotation`, so
+no resampled stack is held whole on the way to the features.
 """
 from __future__ import annotations
 
@@ -193,14 +195,15 @@ def exp_map(base: np.ndarray, V: np.ndarray) -> np.ndarray:
     return sym_sqrt(symmetrize(base @ sym_exp(2.0 * V) @ base))
 
 
-def _blocks(stack: np.ndarray):
-    """Consecutive slices of a stack's first axis, each of at most `_BLOCK_BYTES`.
+def _blocks(stack: np.ndarray, count: int | None = None):
+    """Consecutive slices of ``count`` items, each block of at most `_BLOCK_BYTES`.
 
-    A block holds at least one item, so an item larger than the budget is a
-    block of its own.
+    The items are shaped like those of ``stack``; ``count`` defaults to its
+    first axis.  A block holds at least one item, so an item larger than
+    the budget is a block of its own.
     """
     step = max(1, _BLOCK_BYTES // (stack.itemsize * math.prod(stack.shape[1:])))
-    count = stack.shape[0]
+    count = stack.shape[0] if count is None else count
     return (slice(a, min(a + step, count)) for a in range(0, count, step))
 
 
@@ -244,38 +247,39 @@ def geodesic_points(
     Point ``i`` lies at parameter ``t[i]`` on the geodesic from
     ``P1[pair[i]]`` to ``P2[pair[i]]``; the unit-determinant part follows the
     quotient geodesic while the log-det channel interpolates linearly.  Each
-    pair is decomposed once, however many points lie on it.
-    """
-    return _geodesic_points(P1, P2, pair, t)[0]
-
-
-def _geodesic_points(
-    P1: np.ndarray, P2: np.ndarray, pair: np.ndarray, t: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """`geodesic_points` and the smallest eigenvalue of each point.
-
-    The pairs are decomposed once, and the points are built one block at a
-    time (`_blocks`).  A point is rejected by its own eigenvalues, not by
-    those of its square ``A M^t A``; a square's eigenvalue that roundoff
-    takes below zero reads as a zero eigenvalue of the point.
+    pair is decomposed once, however many points lie on it, and the points
+    are built one block at a time (`_geodesic_block`).
     """
     w, U = _eigh_pd(pair_matrix(P1, P2))
     points = np.empty((t.size, *P1.shape[-2:]))
-    smallest = np.empty(t.size)
     for b in _blocks(points):
-        k = pair[b]
-        X = _spectral(U[k], w[k] ** t[b, None])
-        A = P1[k]
-        X = A @ X
-        X = X @ A
-        del A
-        wb, Ub = np.linalg.eigh(symmetrize(X))
-        del X
-        wb = np.sqrt(np.maximum(wb, 0.0))
-        smallest[b] = wb[:, 0]
-        points[b] = _spectral(Ub, wb)
-    _require_pd(smallest[:, None], "geodesic point")
-    return points, smallest
+        points[b] = _geodesic_block(P1, w, U, pair[b], t[b])[0]
+    return points
+
+
+def _geodesic_block(
+    P1: np.ndarray, w: np.ndarray, U: np.ndarray, pair: np.ndarray, t: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Points ``sqrt(A M^t A)`` and the smallest eigenvalue of each.
+
+    Point ``i`` lies at ``t[i]`` on the geodesic from ``A = P1[pair[i]]``,
+    whose pair matrix ``M`` has the eigendecomposition ``(w, U)[pair[i]]``.
+    A point is rejected by its own eigenvalues, not by those of its square
+    ``A M^t A``; a square's eigenvalue that roundoff takes below zero reads
+    as a zero eigenvalue of the point.  This is the one geodesic-point
+    builder: `geodesic_points` and the trajectory walk of `alignment` call
+    it a block at a time.
+    """
+    X = _spectral(U[pair], w[pair] ** t[:, None])
+    A = P1[pair]
+    X = A @ X
+    X = X @ A
+    del A  # hold at most a few blocks at a time
+    wb, Ub = np.linalg.eigh(symmetrize(X))
+    del X
+    wb = np.sqrt(np.maximum(wb, 0.0))
+    _require_pd(wb, "geodesic point")
+    return _spectral(Ub, wb), wb[:, 0]
 
 
 def log_map(P1: np.ndarray, P2: np.ndarray) -> np.ndarray:

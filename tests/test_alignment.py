@@ -63,7 +63,7 @@ def _velocities(traj):
 def _tsrvf(traj):
     """TSRVF rows of the feature path as (T, n, n) matrices."""
     n = traj.dim
-    return A._trajectory_features(traj, False, None).q.reshape(traj.length, n, n)
+    return A._trajectory_features(traj, traj.length, False, None).q.reshape(traj.length, n, n)
 
 
 def test_velocity_field_constant_trajectory(rng):
@@ -111,7 +111,7 @@ def test_velocity_field_refinement_halves_step_norms(rng):
 
 def test_velocity_field_rejects_short_trajectory(rng):
     with pytest.raises(ValueError, match="at least 2 samples"):
-        A._trajectory_features(_constant_trajectory(random_unitdet(rng, 3), 1), False, None)
+        A._trajectory_features(_constant_trajectory(random_unitdet(rng, 3), 1), 1, False, None)
 
 
 def test_velocity_field_anchored_at_samples(rng):
@@ -161,7 +161,7 @@ def test_tsrvf_anchored_at_start(rng):
     # the features start at alpha(0), and row 0 needs no transport
     f = smooth_unitdet_curve(rng, 3)
     traj = sample_curve(f, 12)
-    feats = A._trajectory_features(traj, False, None)
+    feats = A._trajectory_features(traj, traj.length, False, None)
     np.testing.assert_allclose(feats.start, traj.matrices[0], rtol=0, atol=1e-12)
     v0 = log_map(traj.matrices[0], traj.matrices[1]) / (traj.times[1] - traj.times[0])
     q0 = feats.q[0].reshape(3, 3)
@@ -396,11 +396,11 @@ def test_align_dq_rejects_tiny_grid(rng):
 def _grams_and_seed(pair, grid=100):
     """Gram tables of a one-pair block and the smoothed lattice seed its forward refinement gets."""
     f1, f2 = (
-        A._trajectory_features(resample_trajectory(t, grid), False, None)
+        A._trajectory_features(t, grid, False, None)
         for t in (pair.first, pair.second)
     )
     gr = A._PairGrams.empty(1, grid)
-    gr.fill(0, A._transport_features(f1, f2), f2.q)
+    gr.fill(0, f1, f2)
     dt = 1.0 / (grid - 1)
     (pi, pj), _ = A._dp_lattice(gr, dt)
     seed = A._presmooth_warp(np.interp(np.linspace(0, 1, grid), pi * dt, pj * dt))
@@ -441,14 +441,10 @@ def _block_grams(rng, P, grid=40):
     gr = A._PairGrams.empty(P, grid)
     for p in range(P):
         f1, f2 = (
-            A._trajectory_features(
-                resample_trajectory(sample_curve(smooth_unitdet_curve(rng, 3), 20), grid),
-                False,
-                None,
-            )
+            A._trajectory_features(sample_curve(smooth_unitdet_curve(rng, 3), 20), grid, False, None)
             for _ in range(2)
         )
-        gr.fill(p, A._transport_features(f1, f2), f2.q)
+        gr.fill(p, f1, f2)
     return gr
 
 
@@ -474,7 +470,7 @@ def test_refine_warp_stays_in_slope_window_and_beats_seed():
 def test_warp_search_in_canonical_order_is_exactly_symmetric(rng):
     for _ in range(3):
         a, b = (sample_curve(smooth_unitdet_curve(rng, 3), 30) for _ in range(2))
-        f1, f2 = (A._trajectory_features(resample_trajectory(t, 40), False, None) for t in (a, b))
+        f1, f2 = (A._trajectory_features(t, 40, False, None) for t in (a, b))
         [(d12, d21, w12, w21, dc)], _ = A._dq_from_features([(f1, f2)])
         [(e21, e12, v21, v12, ec)], _ = A._dq_from_features([(f2, f1)])
         assert (e12, e21, ec) == (d12, d21, dc)
@@ -716,7 +712,7 @@ def test_lanes_stop_once_an_accepted_step_gains_less_than_the_tolerance():
     pairs = [(0, 4), (4, 6), (4, 12)]
     T = 100
     dt, ts = 1.0 / (T - 1), np.linspace(0.0, 1.0, T)
-    feats = {i: A._trajectory_features(resample_trajectory(coll.trajectories[i], T), False, None)
+    feats = {i: A._trajectory_features(coll.trajectories[i], T, False, None)
              for i in {i for pair in pairs for i in pair}}
     gr = A._PairGrams.empty(len(pairs), T)
     for slot, (i, j) in enumerate(pairs):
@@ -940,10 +936,9 @@ def test_normalizing_before_resampling_matches_the_other_order():
         general = CovarianceTrajectory(
             matrices=np.array([evaluate_trajectory(traj, s) for s in grid])
         )
-        resampled = resample_trajectory(traj, 100)
         for include_logdet in (False, True):
-            new = A._trajectory_features(resampled, include_logdet, None)
-            old = A._trajectory_features(general, include_logdet, None)
+            new = A._trajectory_features(traj, 100, include_logdet, None)
+            old = A._trajectory_features(general, 100, include_logdet, None)
             assert np.abs(new.q - old.q).max() <= 1e-10 * np.abs(old.q).max()
             assert np.abs(new.start - old.start).max() <= 1e-10 * np.abs(old.start).max()
             assert new.start_logdet == pytest.approx(old.start_logdet, abs=1e-12)
@@ -956,7 +951,7 @@ def test_unit_part_below_eps_pd_is_still_rejected():
     traj = CovarianceTrajectory(matrices=mats)
     for grid in (3, 5):
         with pytest.raises(ValueError, match="not positive definite"):
-            A._trajectory_features(resample_trajectory(traj, grid), False, None)
+            A._trajectory_features(traj, grid, False, None)
 
 
 def test_resampling_keeps_unit_parts_with_small_eigenvalues():
@@ -999,8 +994,10 @@ def _n100_trajectory():
 
 
 def test_resampling_and_features_hold_their_output_and_a_few_blocks():
-    # at n=100 a 100-sample stack is 8 MB, six blocks; without blocks the two
-    # stages held 1.7 and 3.0 stacks of temporaries
+    # at n=100 a 100-sample stack is 8 MB, six blocks.  The features are
+    # built from the input samples: beside their rows they hold the input's
+    # unit-determinant parts and a few blocks (the walk's points, their
+    # pairs and the pairs' SVD), never a resampled stack
     import tracemalloc
 
     traj = _n100_trajectory()
@@ -1012,56 +1009,134 @@ def test_resampling_and_features_hold_their_output_and_a_few_blocks():
         kept = out.matrices.nbytes + out._split[0].matrices.nbytes
         peak = tracemalloc.get_traced_memory()[1] - base
         assert peak <= kept + allowed, f"resampling: peak {peak} B, output {kept} B"
+        del out
         tracemalloc.reset_peak()
         base = tracemalloc.get_traced_memory()[0]
-        feats = A._trajectory_features(out, False, None)
+        feats = A._trajectory_features(traj, 100, False, None)
+        kept = feats.q.nbytes + traj.matrices.nbytes
         peak = tracemalloc.get_traced_memory()[1] - base
-        assert peak <= feats.q.nbytes + allowed, f"features: peak {peak} B, output {feats.q.nbytes} B"
+        assert peak <= kept + allowed + geometry._BLOCK_BYTES, (
+            f"features: peak {peak} B, rows and unit input {kept} B"
+        )
     finally:
         tracemalloc.stop()
 
 
+def test_log_det_channel_costs_at_most_one_block():
+    # the channel's column makes the rows strided; they are written from
+    # contiguous blocks, so no whole-stack temporary follows
+    import tracemalloc
+
+    traj = _n100_trajectory()
+    peaks = []
+    tracemalloc.start()
+    try:
+        for include_logdet in (False, True):
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            A._trajectory_features(traj, 100, include_logdet, None)
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+    finally:
+        tracemalloc.stop()
+    assert peaks[1] <= peaks[0] + geometry._BLOCK_BYTES, peaks
+
+
+def test_align_dq_holds_its_features_and_a_few_blocks():
+    # the pair's two feature stacks stay alive through the search, and the
+    # Gram product takes the transported rows whole, as one GEMM (a GEMM
+    # over blocks of rows does not give the same bits): three stacks and a
+    # few blocks, never a resampled stack or a unit stack of the grid
+    import tracemalloc
+
+    from spdtraj.cli import _random_trajectory
+    from spdtraj.simgen import derived_rng
+
+    a = _n100_trajectory()
+    b = _random_trajectory(derived_rng(10, "perf", 100), 100, 20)
+    stack = 100 * 100 * 100 * 8
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        align_dq(TrajectoryPair(a, b), grid=100)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * stack + 3 * geometry._BLOCK_BYTES, f"peak {peak} B"
+
+
 def _pair_stages(f1, f2, grid):
     """Transported features, Gram tables, identity cost and d_c of a pair."""
-    q1p = A._transport_features(f1, f2)
+    q1p = np.empty_like(f1.q)
+    identity = A._transport(f1, f2, q1p)
     gr = A._PairGrams.empty(1, grid)
-    gr.fill(0, q1p, f2.q)
-    return q1p, gr, A._identity_cost(q1p, f2.q), A._dc_from_features(f1, f2)
+    assert gr.fill(0, f1, f2) == identity
+    return q1p, gr, identity, A._dc_from_features(f1, f2)
 
 
 @pytest.mark.parametrize("include_logdet", [False, True])
 def test_one_matrix_blocks_give_the_one_block_results(monkeypatch, include_logdet):
-    # every per-matrix call and per-row sum is the one the whole stack makes
+    # every per-matrix call and per-row sum is the one the whole stack makes,
+    # and the features streamed from the input samples are those of the
+    # resampled trajectory, bit for bit, at any block budget
     from spdtraj.cli import _random_trajectory
     from spdtraj.simgen import derived_rng
 
-    rng = derived_rng(3, "blocks", 12)
-    scale = np.exp(np.linspace(0.0, 1.0, 9))[:, None, None]
-    trajs = [
-        CovarianceTrajectory(matrices=_random_trajectory(rng, 12, 9).matrices * scale)
-        for _ in range(2)
-    ]
-    grid = 40
-    assert geometry._BLOCK_BYTES >= grid * 12 * 12 * 8  # one block at the default budget
-    resampled = [resample_trajectory(t, grid) for t in trajs]
-    feats = [A._trajectory_features(r, include_logdet, None) for r in resampled]
-    whole = _pair_stages(*feats, grid)
+    grid, default = 40, geometry._BLOCK_BYTES
 
-    monkeypatch.setattr(geometry, "_BLOCK_BYTES", 1)
-    for r0, t in zip(resampled, trajs):
-        r1 = resample_trajectory(t, grid)
-        assert r1.matrices.tobytes() == r0.matrices.tobytes()
-        assert r1._split[0].matrices.tobytes() == r0._split[0].matrices.tobytes()
-        assert r1._split[1].tobytes() == r0._split[1].tobytes()
-    for f0, r in zip(feats, resampled):
-        f1 = A._trajectory_features(r, include_logdet, None)
-        assert f1.q.tobytes() == f0.q.tobytes()
-        assert f1.start.tobytes() == f0.start.tobytes()
-    q1p, gr, identity, dc = _pair_stages(*feats, grid)
-    assert q1p.tobytes() == whole[0].tobytes()
-    for name in ("N1", "N2", "G", "C1", "C2"):
-        assert getattr(gr, name).tobytes() == getattr(whole[1], name).tobytes()
-    assert (identity, dc) == whole[2:]
+    def stages(trajs):
+        resampled = [resample_trajectory(t, grid) for t in trajs]
+        feats = [A._trajectory_features(t, grid, include_logdet, None) for t in trajs]
+        for f, r in zip(feats, resampled):
+            two_stage = A._trajectory_features(r, grid, include_logdet, None)
+            assert f.q.tobytes() == two_stage.q.tobytes()
+            assert f.start.tobytes() == two_stage.start.tobytes()
+            assert f.start_logdet == two_stage.start_logdet
+        return resampled, feats, _pair_stages(*feats, grid)
+
+    for n in (12, 100):
+        rng = derived_rng(3, "blocks", n)
+        scale = np.exp(np.linspace(0.0, 1.0, 9))[:, None, None]
+        trajs = [
+            CovarianceTrajectory(matrices=_random_trajectory(rng, n, 9).matrices * scale)
+            for _ in range(2)
+        ]
+        # one block at the default budget at n=12, several at n=100
+        assert (default >= grid * n * n * 8) == (n == 12)
+        monkeypatch.setattr(geometry, "_BLOCK_BYTES", default)
+        whole = stages(trajs)
+        monkeypatch.setattr(geometry, "_BLOCK_BYTES", 1)
+        resampled, feats, (q1p, gr, identity, dc) = stages(trajs)
+        for r0, r1 in zip(whole[0], resampled):
+            assert r1.matrices.tobytes() == r0.matrices.tobytes()
+            assert r1._split[0].matrices.tobytes() == r0._split[0].matrices.tobytes()
+            assert r1._split[1].tobytes() == r0._split[1].tobytes()
+        for f0, f1 in zip(whole[1], feats):
+            assert f1.q.tobytes() == f0.q.tobytes()
+            assert f1.start.tobytes() == f0.start.tobytes()
+        assert q1p.tobytes() == whole[2][0].tobytes()
+        for name in ("N1", "N2", "G", "C1", "C2"):
+            assert getattr(gr, name).tobytes() == getattr(whole[2][1], name).tobytes()
+        assert (identity, dc) == whole[2][2:]
+
+
+@pytest.mark.parametrize("points_per_block", [1, 10])
+def test_geodesic_point_rejection_in_a_later_block_matches_resampling(monkeypatch, points_per_block):
+    # unit-determinant samples whose smallest eigenvalue halves from one to
+    # the next.  An exact geodesic point never dips below both of its ends,
+    # so EPS_PD is raised once the samples are built, past the last ones; a
+    # resampled input carries its split, so its samples are not checked
+    # again, and the first points below it lie near the end of the grid
+    x = 1e-3 * 0.5 ** np.arange(8)
+    mats = np.stack([np.diag([x_k, 1.0 / x_k, 1.0]) for x_k in x])
+    traj = resample_trajectory(CovarianceTrajectory(matrices=mats), 15)
+    monkeypatch.setattr(geometry, "_BLOCK_BYTES", points_per_block * 3 * 3 * 8)
+    monkeypatch.setattr(geometry, "EPS_PD", 2e-5)
+    with pytest.raises(geometry.NotPositiveDefiniteError) as want:
+        resample_trajectory(traj, 100)
+    with pytest.raises(geometry.NotPositiveDefiniteError) as got:
+        A._trajectory_features(traj, 100, False, None)
+    assert str(got.value) == str(want.value)
+    assert str(want.value).startswith("geodesic point is not positive definite")
 
 
 def test_rotation_rejection_fires_in_a_later_block(monkeypatch):
@@ -1073,4 +1148,4 @@ def test_rotation_rejection_fires_in_a_later_block(monkeypatch):
     traj = CovarianceTrajectory(matrices=np.stack([P1, P1, P1, P1, P2]))
     monkeypatch.setattr(geometry, "_BLOCK_BYTES", 1)
     with pytest.raises(geometry.NotPositiveDefiniteError, match="pair matrix is not positive"):
-        A._trajectory_features(traj, False, None)
+        A._trajectory_features(traj, traj.length, False, None)

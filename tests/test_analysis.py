@@ -69,7 +69,7 @@ def test_dq_matrix_entry_is_both_align_dq_directions(rng):
         d_ba, w_ba = align_dq(TrajectoryPair(b, a), grid=50)
         assert D.values[0, 1] == max(d_ab, d_ba)
         assert D.asymmetry == abs(d_ab - d_ba)
-        fa, fb = (_trajectory_features(resample_trajectory(t, 50), False, None) for t in (a, b))
+        fa, fb = (_trajectory_features(t, 50, False, None) for t in (a, b))
         [(d12, d21, w12, w21, dc)], _ = _dq_from_features([(fa, fb)])
         assert (d_ab, d_ba) == (d12, d21)
         assert np.array_equal(w_ab.knots_y, w12.knots_y)
@@ -102,7 +102,7 @@ def test_dq_blocks_match_single_pair_search(rng, monkeypatch):
     monkeypatch.setattr(alignment._PairGrams, "empty", staticmethod(recorded_empty))
     monkeypatch.setattr(alignment, "_dp_lattice", recorded_lattice)
     trajs = _collection(rng, 5, T=15)
-    feats = [_trajectory_features(resample_trajectory(t, grid), False, None) for t in trajs]
+    feats = [_trajectory_features(t, grid, False, None) for t in trajs]
     for maxiter in (400, 6):
         monkeypatch.setattr(alignment, "_REFINE_MAXITER", maxiter)
         calls.clear(), slots.clear(), batches.clear()

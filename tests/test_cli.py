@@ -190,11 +190,11 @@ def test_distance_point_and_trajectory_match_constant_copy(tmp_path, rng):
 
     grid = 20
     a = sample_curve(smooth_unitdet_curve(rng, 3), 5)
-    fa = _trajectory_features(resample_trajectory(a, grid), False, None)
+    fa = _trajectory_features(a, grid, False, None)
     while True:  # the point must come first in the pair's canonical order
         p = CovarianceTrajectory(matrices=random_spd(rng, 3)[None])
         copy = resample_trajectory(p, grid)
-        if not _swap_to_canonical(_trajectory_features(copy, False, None), fa):
+        if not _swap_to_canonical(_trajectory_features(copy, grid, False, None), fa):
             break
     pa, aa = tmp_path / "p.spdt", tmp_path / "a.spdt"
     io.save_trajectory(pa, p)
@@ -573,3 +573,26 @@ def test_every_command_writes_manifest(tmp_path, twoclass_dir):
     assert man["command"] == "simulate-twoclass"
     assert man["outputs"]
     assert all("sha256" in e for e in man["outputs"])
+
+
+# ---------------------------------------------------------------------------
+# dependencies
+
+def test_importing_the_package_and_cli_loads_no_scipy():
+    # scipy is not a runtime dependency: importing it would add about 28 MB
+    # of resident memory and a quarter of a second to every command
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "import sys; import spdtraj, spdtraj.cli; "
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(src)}, timeout=120,
+    )
+    assert out.stdout.strip() == "[]"

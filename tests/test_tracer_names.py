@@ -71,9 +71,10 @@ def test_tracer_counts_each_layer_and_removes_its_wrappers():
 
     # (warp_search, features, resample, dist_unitdet): one warp-search
     # block for the 3 dq pairs, one start-point distance per pair, one
-    # feature set per item
+    # feature set per item.  The features resample as they go, so dq calls
+    # no resample_trajectory; only logeuclidean resamples whole stacks
     assert counts == {
-        "dq": (1, 3, 3, 3),
+        "dq": (1, 3, 0, 3),
         "point dc": (0, 4, 0, 6),
         "logeuclidean": (0, 0, 3, 0),
     }
@@ -89,11 +90,11 @@ def test_tracer_counts_the_record_of_a_capped_lane():
     tracer = tracer_mod.Tracer({})
     rng = np.random.default_rng(3)
     f1, f2 = (
-        alignment._trajectory_features(sample_curve(smooth_unitdet_curve(rng, 3), 12), False, None)
+        alignment._trajectory_features(sample_curve(smooth_unitdet_curve(rng, 3), 12), 12, False, None)
         for _ in range(2)
     )
     gr = alignment._PairGrams.empty(1, 12)
-    gr.fill(0, alignment._transport_features(f1, f2), f2.q)
+    gr.fill(0, f1, f2)
     lanes = alignment._Lanes(12, 1, 1)
     lanes.add([0], [0], np.linspace(0.0, 1.0, 12)[None] ** 2)
     fg = alignment._cost_evaluator(gr)
