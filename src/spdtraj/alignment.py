@@ -8,14 +8,18 @@ distance between start points with the L2 gap between TSRVFs (the first one
 carried across the baseline geodesic).  The aligned distance ``align_dq``
 minimizes that gap over endpoint-preserving time warps.
 
-Both work on stacked samples.  One walk over a trajectory's input samples
-(`_walk`) gives its values at new times, a block at a time: it decomposes
-each input interval once and builds the block's points on it together.
-Resampling (``resample_trajectory``, ``evaluate_trajectory``,
-``apply_warp``) gathers the blocks into a stack.  The TSRVF features take
-them as they come, in one pass: each consecutive pair of points is
-decomposed once, which gives the forward velocity and the transport rotation
-(transport backwards along a geodesic is the transpose), both from one SVD
+Every trajectory lies on the uniform grid of [0, 1]: sample k of T sits at
+``linspace(0, 1, T)[k]`` (`estimation.grid_times`), so a time is a point of
+[0, 1] and a one-sample trajectory is constant on it.  Both distances work
+on stacked samples.  One walk over a trajectory's input samples (`_walk`)
+gives its values at times in [0, 1], a block at a time: it decomposes each
+input interval once and builds the block's points on it together.
+Resampling (``resample_trajectory``, ``evaluate_trajectory``, and
+``apply_warp``, which reads the input at the warped grid ``gamma(t_k)``)
+gathers the blocks into a stack.  The TSRVF features take them as they
+come, in one pass: each consecutive pair of points is decomposed once,
+which gives the forward velocity and the transport rotation (transport
+backwards along a geodesic is the transpose), both from one SVD
 (`geometry.log_map_and_rotation`).  The backward difference at the last
 sample, carried back to the start, equals the row before it, since a
 geodesic's velocity is parallel along it.
@@ -76,10 +80,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import geometry
 from .estimation import (
     CovarianceTrajectory,
     _built,
     _require_pd_samples,
+    grid_times,
     normalize_trajectory,
 )
 from .geometry import (
@@ -115,9 +121,6 @@ _REFINE_RTOL = 1e-7
 _PRESMOOTH_WIDTH = 2.0
 # A refinement that has not stopped after this many steps is not converged.
 _REFINE_MAXITER = 400
-# The warp-search pool holds the Gram tables of as many pairs as fit in this
-# many bytes (16 pairs on a 100-point grid), and at least one.
-_BLOCK_GRAM_BYTES = 1_300_000
 
 
 @dataclass(frozen=True)
@@ -172,7 +175,7 @@ class TrajectoryPair:
 
 
 def _walk(traj: CovarianceTrajectory, s: np.ndarray):
-    """Trajectory values at times ``s``, one block of `geometry._blocks` at a time.
+    """Trajectory values at times ``s`` in [0, 1], one block of `geometry._blocks` at a time.
 
     Yields ``(block, values, smallest)``: a slice of ``s``, the values at
     those times and the smallest eigenvalue of each interpolated value, inf
@@ -184,16 +187,14 @@ def _walk(traj: CovarianceTrajectory, s: np.ndarray):
     for increasing ``s`` each interval is decomposed once.
     """
     times, mats = traj.times, traj.matrices
-    bad = (s < times[0] - 1e-12) | (s > times[-1] + 1e-12)
+    bad = (s < -1e-12) | (s > 1.0 + 1e-12)
     if bad.any():
-        raise ValueError(
-            f"time {s[bad][0]} outside trajectory range [{times[0]}, {times[-1]}]"
-        )
+        raise ValueError(f"time {s[bad][0]} outside trajectory range [0, 1]")
     n = traj.dim
-    # a one-sample trajectory has no interval: every time reads its sample
+    # a one-sample trajectory has no interval: it reads its sample at every time
     k, u = np.zeros(s.size, dtype=np.intp), np.zeros(s.size)
     if traj.length > 1:
-        s = np.clip(s, times[0], times[-1])
+        s = np.clip(s, 0.0, 1.0)
         k = np.clip(np.searchsorted(times, s, side="right") - 1, 0, traj.length - 2)
         u = (s - times[k]) / (times[k + 1] - times[k])
     inner = (u > 1e-12) & (u < 1 - 1e-12)
@@ -235,50 +236,36 @@ def _evaluate(traj: CovarianceTrajectory, s: np.ndarray) -> tuple[np.ndarray, np
 
 
 def evaluate_trajectory(traj: CovarianceTrajectory, s: float) -> np.ndarray:
-    """Trajectory value at time ``s`` by geodesic interpolation of stored samples."""
+    """Trajectory value at time ``s`` in [0, 1] by geodesic interpolation of stored samples."""
     return _evaluate(traj, np.array([float(s)]))[0][0]
 
 
-def _resampling(traj: CovarianceTrajectory, T_out: int) -> tuple[np.ndarray, np.ndarray] | None:
-    """The times at which resampling onto ``T_out`` points reads ``traj``, and the result's times.
-
-    None when ``traj`` already lies on that uniform grid: it is its own
-    resampling.
-    """
-    if T_out == traj.length and np.allclose(
-        traj.times, np.linspace(traj.times[0], traj.times[-1], T_out)
-    ):
-        return None
-    if T_out == 1:
-        return traj.times[:1], np.zeros(1)
-    return np.linspace(traj.times[0], traj.times[-1], T_out), np.linspace(0.0, 1.0, T_out)
-
-
 def resample_trajectory(traj: CovarianceTrajectory, T_out: int) -> CovarianceTrajectory:
-    """Geodesic resampling onto a uniform grid of ``T_out`` points.
+    """Geodesic resampling onto the uniform grid of ``T_out`` points of [0, 1].
 
-    The input samples are determinant-normalized first: their
-    unit-determinant parts are resampled on the quotient geodesic and the
-    log-det track linearly, which in exact arithmetic is the geodesic of
-    the samples themselves (`geometry.geodesic_points`).  The result carries
-    that split, so `normalize_trajectory` decomposes none of its samples
-    again, and its arrays are read-only.
+    A trajectory of ``T_out`` samples already lies on that grid and is
+    returned as it is.  Otherwise the input samples are
+    determinant-normalized first: their unit-determinant parts are
+    resampled on the quotient geodesic and the log-det track linearly,
+    which in exact arithmetic is the geodesic of the samples themselves
+    (`geometry._geodesic_block`).  The result carries that split, so
+    `normalize_trajectory` decomposes none of its samples again, and its
+    arrays are read-only.
     """
     if T_out < 1:
         raise ValueError("T_out must be positive")
-    grid = _resampling(traj, T_out)
-    if grid is None:
+    if T_out == traj.length:
         return traj
-    s, times = grid
+    s = grid_times(T_out)
     unit, track = normalize_trajectory(traj)
     units, smallest = _evaluate(unit, s)
     track = np.interp(s, traj.times, track)
     scale = np.exp(track)
     _require_pd_samples(smallest * scale)  # the stored samples were checked
     mats = units * scale[:, None, None]
-    for a in (mats, units, track, times):
+    for a in (mats, units, track):
         a.flags.writeable = False
-    return _built(mats, times, split=(_built(units, times), track))
+    return _built(mats, split=(_built(units), track))
 
 
 @dataclass(frozen=True)
@@ -326,16 +313,13 @@ def _trajectory_features(
     if grid < 2:
         raise ValueError("TSRVF needs at least 2 samples")
     unit, track = normalize_trajectory(traj)
-    s = times = unit.times
-    resampled = _resampling(traj, grid)
-    if resampled is not None:
-        s, times = resampled
-        track = np.interp(s, traj.times, track)
+    s = grid_times(grid)
+    track = np.interp(s, traj.times, track)  # the track itself when ``grid`` is its length
     n = unit.dim
     if w_det is None:
         w_det = 1.0 / n
-    dts = np.diff(times)
-    sdot = np.gradient(track, times) if include_logdet else None
+    dts = np.diff(s)
+    sdot = np.gradient(track, s) if include_logdet else None
 
     def scale(rows: slice, speed: np.ndarray) -> np.ndarray:
         if include_logdet:
@@ -880,8 +864,12 @@ class _Lanes:
 
 
 def _pairs_per_block(T: int) -> int:
-    """How many pairs on a ``T``-point grid hold Gram slots at once."""
-    return max(1, _BLOCK_GRAM_BYTES // (8 * T * T))
+    """How many pairs on a ``T``-point grid hold Gram slots at once.
+
+    As many as one block budget (`geometry._BLOCK_BYTES`) of Gram tables
+    holds, 16 on a 100-point grid, and at least one.
+    """
+    return max(1, geometry._BLOCK_BYTES // (8 * T * T))
 
 
 @dataclass
@@ -1054,10 +1042,7 @@ def align_dq(
 
 def apply_warp(traj: CovarianceTrajectory, warp: WarpingFunction) -> CovarianceTrajectory:
     """Reparameterize a trajectory: output sample k is the input at gamma(t_k)."""
-    ts = traj.times
-    span = ts[-1] - ts[0]
-    s = ts[0] + span * warp((ts - ts[0]) / span)
-    return CovarianceTrajectory(matrices=_evaluate(traj, s)[0], times=ts.copy())
+    return CovarianceTrajectory(matrices=_evaluate(traj, warp(traj.times))[0])
 
 
 def random_warp(T: int, roughness: float, seed: int) -> WarpingFunction:

@@ -228,7 +228,7 @@ def knn_classify(
             means = {lab: float(np.mean(votes[lab])) for lab in tied}
             m = min(means.values())
             tied = sorted([lab for lab in tied if means[lab] == m])
-        out.append(tied[0] if len(tied) == 1 else sorted(tied)[0])
+        out.append(tied[0])
     return np.array(out)
 
 
@@ -272,11 +272,10 @@ def cross_validate(
                 )
             members = members[rng.permutation(members.size)]
             assignment[members] = np.arange(members.size) % folds
-    n_folds = N if folds == N else folds
 
     cidx = {c: i for i, c in enumerate(classes)}
     confusion = np.zeros((len(classes), len(classes)), dtype=int)
-    for f in range(n_folds):
+    for f in range(folds):
         test = np.flatnonzero(assignment == f)
         if test.size == 0:
             continue

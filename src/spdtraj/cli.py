@@ -122,7 +122,7 @@ def _load_items(paths: list[str], items_mode: str):
         if items_mode == "matrices":
             for k in range(traj.length):
                 ids.append(f"{stem}:{k}")
-                trajs.append(_built(traj.matrices[k : k + 1], np.zeros(1)))
+                trajs.append(_built(traj.matrices[k : k + 1]))
         else:
             ids.append(stem)
             trajs.append(traj)

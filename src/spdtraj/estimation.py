@@ -73,17 +73,23 @@ class ShrinkageDiagnostics:
     degenerate: bool = False
 
 
+def grid_times(T: int) -> np.ndarray:
+    """The uniform grid of ``T`` times on [0, 1]; ``[0]`` for one time."""
+    return np.linspace(0.0, 1.0, T) if T > 1 else np.zeros(1)
+
+
 @dataclass(frozen=True)
 class CovarianceTrajectory:
-    """A time-indexed sequence of SPD matrices on a grid normalized to [0, 1].
+    """A sequence of SPD matrices on the uniform grid of [0, 1].
 
-    The constructor symmetrizes the matrices and rejects any whose smallest
-    eigenvalue is below EPS_PD.  Trajectories that the library builds from
-    checked ones skip that second decomposition (`_built`).
+    Sample k of T sits at time ``linspace(0, 1, T)[k]`` (`grid_times`): the
+    times follow from the length and are not stored.  The constructor symmetrizes
+    the matrices and rejects any whose smallest eigenvalue is below EPS_PD.
+    Trajectories that the library builds from checked ones skip that second
+    decomposition (`_built`).
     """
 
     matrices: np.ndarray  # (T, n, n)
-    times: np.ndarray = field(default=None)  # type: ignore[assignment]
     # (unit-determinant trajectory, log-det track) when the routine that made
     # it had them; `normalize_trajectory` returns them without decomposing again
     _split: tuple | None = field(default=None, init=False, repr=False, compare=False)
@@ -92,19 +98,13 @@ class CovarianceTrajectory:
         mats = np.asarray(self.matrices, dtype=float)
         if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
             raise ValueError(f"matrices must have shape (T, n, n), got {mats.shape}")
-        T = mats.shape[0]
-        if self.times is None:
-            times = np.linspace(0.0, 1.0, T) if T > 1 else np.zeros(1)
-        else:
-            times = np.asarray(self.times, dtype=float)
-        if times.shape != (T,):
-            raise ValueError("times length must match trajectory length")
-        if T > 1 and not np.all(np.diff(times) > 0):
-            raise ValueError("times must be strictly increasing")
         mats = symmetrize(mats)  # a new array: the caller's stays untouched
         _require_pd_samples(np.linalg.eigvalsh(mats)[:, 0])
         object.__setattr__(self, "matrices", mats)
-        object.__setattr__(self, "times", times)
+
+    @property
+    def times(self) -> np.ndarray:
+        return grid_times(self.length)
 
     @property
     def length(self) -> int:
@@ -122,9 +122,7 @@ def _require_pd_samples(smallest: np.ndarray) -> None:
         raise ValueError(f"trajectory matrix {bad[0]} is not positive definite")
 
 
-def _built(
-    matrices: np.ndarray, times: np.ndarray, split: tuple | None = None
-) -> CovarianceTrajectory:
+def _built(matrices: np.ndarray, split: tuple | None = None) -> CovarianceTrajectory:
     """A trajectory of exactly symmetric matrices that the library built from checked ones.
 
     The calling routine has already made the constructor's rejection from
@@ -133,8 +131,8 @@ def _built(
     determinant split when that routine has it.
     """
     traj = object.__new__(CovarianceTrajectory)
-    for name, value in (("matrices", matrices), ("times", times), ("_split", split)):
-        object.__setattr__(traj, name, value)
+    object.__setattr__(traj, "matrices", matrices)
+    object.__setattr__(traj, "_split", split)
     return traj
 
 
@@ -246,10 +244,9 @@ def smooth_resample(
         out = np.repeat(traj.matrices, T_out, axis=0)
         return CovarianceTrajectory(matrices=out)
     logs = sym_log(traj.matrices)
-    dt_in = float(traj.times[-1] - traj.times[0]) / (T - 1)
+    dt_in = 1.0 / (T - 1)
     sigma = kernel_width * dt_in
-    t_out = np.linspace(traj.times[0], traj.times[-1], T_out) if T_out > 1 else np.array([traj.times[0]])
-    gap = t_out[:, None] - traj.times[None, :]
+    gap = grid_times(T_out)[:, None] - traj.times[None, :]
     z = gap / sigma
     w = np.exp(-0.5 * np.minimum(z * z, 1400.0))
     total = w.sum(axis=1, keepdims=True)
@@ -280,7 +277,7 @@ def normalize_trajectory(
     if traj._split is not None:
         return traj._split
     mats, track = normalize_det(traj.matrices)
-    return _built(mats, traj.times.copy()), track
+    return _built(mats), track
 
 
 def pca_reduce_timeseries(

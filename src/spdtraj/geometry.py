@@ -239,36 +239,19 @@ def log_map_and_rotation(
     return _spectral(U, np.log(s)), _mT(Wt) @ _mT(U)
 
 
-def geodesic_points(
-    P1: np.ndarray, P2: np.ndarray, pair: np.ndarray, t: np.ndarray
-) -> np.ndarray:
-    """Points ``sqrt(A M^t A)`` on the geodesics of stacked pairs, unchecked.
-
-    Point ``i`` lies at parameter ``t[i]`` on the geodesic from
-    ``P1[pair[i]]`` to ``P2[pair[i]]``; the unit-determinant part follows the
-    quotient geodesic while the log-det channel interpolates linearly.  Each
-    pair is decomposed once, however many points lie on it, and the points
-    are built one block at a time (`_geodesic_block`).
-    """
-    w, U = _eigh_pd(pair_matrix(P1, P2))
-    points = np.empty((t.size, *P1.shape[-2:]))
-    for b in _blocks(points):
-        points[b] = _geodesic_block(P1, w, U, pair[b], t[b])[0]
-    return points
-
-
 def _geodesic_block(
     P1: np.ndarray, w: np.ndarray, U: np.ndarray, pair: np.ndarray, t: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Points ``sqrt(A M^t A)`` and the smallest eigenvalue of each.
 
     Point ``i`` lies at ``t[i]`` on the geodesic from ``A = P1[pair[i]]``,
-    whose pair matrix ``M`` has the eigendecomposition ``(w, U)[pair[i]]``.
-    A point is rejected by its own eigenvalues, not by those of its square
-    ``A M^t A``; a square's eigenvalue that roundoff takes below zero reads
-    as a zero eigenvalue of the point.  This is the one geodesic-point
-    builder: `geodesic_points` and the trajectory walk of `alignment` call
-    it a block at a time.
+    whose pair matrix ``M`` has the eigendecomposition ``(w, U)[pair[i]]``;
+    the unit-determinant part follows the quotient geodesic while the
+    log-det channel interpolates linearly.  A point is rejected by its own
+    eigenvalues, not by those of its square ``A M^t A``; a square's
+    eigenvalue that roundoff takes below zero reads as a zero eigenvalue of
+    the point.  This is the one geodesic-point builder: `geodesic` calls it
+    for one point, and the trajectory walk of `alignment` a block at a time.
     """
     X = _spectral(U[pair], w[pair] ** t[:, None])
     A = P1[pair]
@@ -363,7 +346,9 @@ def geodesic(P1: np.ndarray, P2: np.ndarray, t: float) -> np.ndarray:
         return P1.copy()
     if t == 1.0:
         return P2.copy()
-    return geodesic_points(P1[None], P2[None], np.zeros(1, dtype=int), np.array([t]))[0]
+    P1, P2 = P1[None], P2[None]
+    w, U = _eigh_pd(pair_matrix(P1, P2))
+    return _geodesic_block(P1, w, U, np.zeros(1, dtype=int), np.array([t]))[0][0]
 
 
 def transport_rotation(P1: np.ndarray, P2: np.ndarray) -> np.ndarray:

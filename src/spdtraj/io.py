@@ -5,6 +5,9 @@ Binary layouts (all little-endian):
   trajectory magic ``SPDT`` | u32 dim | u32 length | matrices in matrix format
   basis      magic ``STFB`` | u32 n | u32 d | f64 entries column-major
 
+A trajectory archive stores no times: a trajectory of length T sits on the
+uniform grid ``linspace(0, 1, T)``.
+
 Text formats use shortest round-trip float formatting so identical data
 produces identical bytes.
 """

@@ -32,9 +32,6 @@ from .geometry import (
 )
 from .geometry import pair_matrix as _pair_matrix  # reduction.pair_matrix adds the checks
 
-# Orthonormality tolerance for basis matrices.
-_ORTHO_TOL = 1e-10
-
 
 @dataclass(frozen=True)
 class StiefelBasis:
@@ -349,4 +346,4 @@ def reduce_trajectory(
     """
     basis = model.basis if isinstance(model, ReductionModel) else model
     mats, _ = project(traj.matrices, basis)
-    return CovarianceTrajectory(matrices=mats, times=traj.times.copy())
+    return CovarianceTrajectory(matrices=mats)

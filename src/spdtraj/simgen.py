@@ -18,6 +18,7 @@ from .estimation import (
     MultivariateTimeSeries,
     WindowConfig,
     estimate_trajectory,
+    grid_times,
     smooth_resample,
 )
 from .geometry import exp_map, normalize_det, sym_exp, symmetrize
@@ -145,7 +146,7 @@ def gen_two_class(
     ]
     trajs = []
     labels = []
-    times = np.linspace(0.0, 1.0, T) if T > 1 else np.zeros(1)
+    times = grid_times(T)
     for c in (0, 1):
         for i in range(N_per_class):
             rng = derived_rng(seed, "twoclass-traj", c, i)

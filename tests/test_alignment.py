@@ -27,9 +27,10 @@ from spdtraj.alignment import (
 from spdtraj.estimation import CovarianceTrajectory, normalize_trajectory
 from spdtraj.geometry import (
     DimensionMismatchError,
+    _eigh_pd,
+    _geodesic_block,
     dist_unitdet,
     geodesic,
-    geodesic_points,
     log_det,
     log_map,
     log_map_and_rotation,
@@ -219,7 +220,7 @@ def test_pair_kernel_on_stacks_matches_loop_over_pairs(rng):
     V, O = log_map_and_rotation(P1, P2)
     pair = np.array([0, 3, 3, 6, 1])
     t = np.array([0.2, 0.5, 0.9, 0.4, 0.7])
-    G = geodesic_points(P1, P2, pair, t)
+    G = _geodesic_block(P1, *_eigh_pd(pair_matrix(P1, P2)), pair, t)[0]
     unit, channel = normalize_det(P1)
     logs = sym_log(P1)
     for k in range(K):
@@ -897,6 +898,32 @@ def test_evaluate_trajectory_interpolates_on_geodesic(rng):
     traj = CovarianceTrajectory(matrices=np.stack([P1, P2]))
     mid = evaluate_trajectory(traj, 0.5)
     np.testing.assert_allclose(mid, geodesic(P1, P2, 0.5), atol=1e-10)
+
+
+def test_one_sample_trajectory_reads_its_sample_on_all_of_the_unit_interval(rng):
+    # a one-sample trajectory is constant on [0, 1]: evaluation, resampling
+    # and warping read its sample at every time, and [0, 1] is still the range
+    P = random_spd(rng, 3)
+    point = CovarianceTrajectory(matrices=P[None])
+    for s in (0.0, 1e-3, 0.5, 1.0):
+        np.testing.assert_array_equal(evaluate_trajectory(point, s), point.matrices[0])
+    out = resample_trajectory(point, 4)
+    np.testing.assert_array_equal(out.times, np.linspace(0.0, 1.0, 4))
+    for M in out.matrices:
+        np.testing.assert_allclose(M, point.matrices[0], rtol=1e-12, atol=0)
+    warped = apply_warp(point, random_warp(5, 0.3, seed=1))
+    np.testing.assert_array_equal(warped.matrices, point.matrices)
+    with pytest.raises(ValueError, match=r"outside trajectory range \[0, 1\]"):
+        evaluate_trajectory(point, 1.5)
+
+
+def test_trajectory_times_follow_from_its_length(rng):
+    # the times are not an input: sample k of T sits at linspace(0, 1, T)[k]
+    with pytest.raises(TypeError):
+        CovarianceTrajectory(np.repeat(np.eye(2)[None], 3, axis=0), np.linspace(0, 2, 3))
+    traj = sample_curve(smooth_unitdet_curve(rng, 3), 7)
+    np.testing.assert_array_equal(traj.times, np.linspace(0.0, 1.0, 7))
+    assert resample_trajectory(traj, 7) is traj
 
 
 def test_resample_trajectory_identity(rng):

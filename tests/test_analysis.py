@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import sample_curve, smooth_unitdet_curve
-from spdtraj import alignment, analysis
+from spdtraj import alignment, analysis, geometry
 from spdtraj.alignment import (
     TrajectoryPair,
     _dq_from_features,
@@ -82,7 +82,7 @@ def test_dq_blocks_match_single_pair_search(rng, monkeypatch):
     # free up, give exactly the matrix and counters of one single-pair
     # search per pair, also when lanes stop at a small iteration cap
     grid = 30
-    monkeypatch.setattr(alignment, "_BLOCK_GRAM_BYTES", 3 * 8 * grid * grid)
+    monkeypatch.setattr(geometry, "_BLOCK_BYTES", 3 * 8 * grid * grid)
     calls, slots, batches = [], [], []
     search, empty, lattice = analysis._dq_from_features, alignment._PairGrams.empty, alignment._dp_lattice
 

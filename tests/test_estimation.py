@@ -296,8 +296,3 @@ def test_trajectory_rejects_non_pd():
     with pytest.raises(ValueError, match="positive definite"):
         CovarianceTrajectory(matrices=mats)
 
-
-def test_trajectory_rejects_nonincreasing_times():
-    mats = np.repeat(np.eye(2)[None], 3, axis=0)
-    with pytest.raises(ValueError, match="increasing"):
-        CovarianceTrajectory(matrices=mats, times=np.array([0.0, 0.5, 0.5]))

@@ -15,11 +15,12 @@ from spdtraj.geometry import (
     EPS_PD,
     DimensionMismatchError,
     NotPositiveDefiniteError,
+    _eigh_pd,
+    _geodesic_block,
     dist_full,
     dist_unitdet,
     exp_map,
     geodesic,
-    geodesic_points,
     log_det,
     log_euclidean_dist,
     log_map,
@@ -335,10 +336,15 @@ def test_geodesic_point_is_rejected_by_its_own_eigenvalues():
     # the midpoint's eigenvalues are 1e-10 and 1e10: its square's 1e-20
     # must not reject it; a midpoint at 1e-13 is rejected, by that value
     pair, t = np.zeros(1, dtype=int), np.array([0.5])
-    ok = geodesic_points(np.diag([1e-7, 1e7])[None], np.diag([1e-13, 1e13])[None], pair, t)
+
+    def midpoint(a, b):
+        P1, P2 = np.diag(a)[None], np.diag(b)[None]
+        return _geodesic_block(P1, *_eigh_pd(pair_matrix(P1, P2)), pair, t)[0]
+
+    ok = midpoint([1e-7, 1e7], [1e-13, 1e13])
     np.testing.assert_allclose(np.diag(ok[0]), [1e-10, 1e10], rtol=1e-12)
     with pytest.raises(NotPositiveDefiniteError, match="smallest eigenvalue 1.0+e-13"):
-        geodesic_points(np.diag([1e-11, 1e11])[None], np.diag([1e-15, 1e15])[None], pair, t)
+        midpoint([1e-11, 1e11], [1e-15, 1e15])
 
 
 # ---------------------------------------------------------------------------
