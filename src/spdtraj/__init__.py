@@ -13,7 +13,6 @@ from .alignment import (
     align_dq,
     apply_warp,
     dist_dc,
-    evaluate_trajectory,
     random_warp,
     resample_trajectory,
 )
@@ -22,10 +21,8 @@ from .analysis import (
     DistanceMatrix,
     LabeledCollection,
     alignment_reduction_histogram,
-    block_contrast,
     cross_validate,
     distance_matrix,
-    frobenius_gap,
     knn_classify,
 )
 from .estimation import (
@@ -37,20 +34,16 @@ from .estimation import (
     ledoit_wolf,
     logdet_curve,
     normalize_trajectory,
-    pca_reduce_timeseries,
     smooth_resample,
 )
 from .geometry import (
     DimensionMismatchError,
     NotPositiveDefiniteError,
-    dist_full,
     dist_unitdet,
     exp_map,
-    geodesic,
     log_euclidean_dist,
     log_map,
     normalize_det,
-    parallel_transport,
     sym_exp,
     sym_log,
     sym_sqrt,
@@ -60,14 +53,8 @@ from .reduction import (
     ReductionModel,
     StiefelBasis,
     build_pairs,
-    euclidean_gradient,
     fit,
-    lemma1_residual,
-    objective,
-    pair_matrix,
     project,
-    pseudoinverse,
-    reconstruct,
     reduce_trajectory,
 )
 from .simgen import Exp1Config, Exp2Config, gen_exp1, gen_exp2, gen_two_class

@@ -14,13 +14,12 @@ Every trajectory lies on the uniform grid of [0, 1]: sample k of T sits at
 on stacked samples.  One walk over a trajectory's input samples (`_walk`)
 gives its values at times in [0, 1], a block at a time: it decomposes each
 input interval once and builds the block's points on it together.
-Resampling (``resample_trajectory``, ``evaluate_trajectory``, and
-``apply_warp``, which reads the input at the warped grid ``gamma(t_k)``)
-gathers the blocks into a stack.  The TSRVF features take them as they
-come, in one pass: each consecutive pair of points is decomposed once,
-which gives the forward velocity and the transport rotation (transport
-backwards along a geodesic is the transpose), both from one SVD
-(`geometry.log_map_and_rotation`).  The backward difference at the last
+Resampling (``resample_trajectory``, and ``apply_warp``, which reads the
+input at the warped grid ``gamma(t_k)``) gathers the blocks into a stack.
+The TSRVF features take them as they come, in one pass: each consecutive
+pair of points is decomposed once, which gives the forward velocity and
+the transport rotation (transport backwards along a geodesic is the
+transpose), both from one SVD (`geometry.log_map_and_rotation`).  The backward difference at the last
 sample, carried back to the start, equals the row before it, since a
 geodesic's velocity is parallel along it.
 
@@ -233,11 +232,6 @@ def _evaluate(traj: CovarianceTrajectory, s: np.ndarray) -> tuple[np.ndarray, np
     for b, block, least in _walk(traj, s):
         values[b], smallest[b] = block, least
     return values, smallest
-
-
-def evaluate_trajectory(traj: CovarianceTrajectory, s: float) -> np.ndarray:
-    """Trajectory value at time ``s`` in [0, 1] by geodesic interpolation of stored samples."""
-    return _evaluate(traj, np.array([float(s)]))[0][0]
 
 
 def resample_trajectory(traj: CovarianceTrajectory, T_out: int) -> CovarianceTrajectory:

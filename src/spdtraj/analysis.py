@@ -7,7 +7,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .alignment import (
-    TrajectoryPair,
     _dc_from_features,
     _dq_from_features,
     _point_features,
@@ -300,30 +299,6 @@ def cross_validate(
     )
 
 
-def frobenius_gap(D: DistanceMatrix, D_d: DistanceMatrix) -> float:
-    """||D - D_d||_F between two distance matrices over the same items."""
-    if D.ids != D_d.ids:
-        raise ValueError("distance matrices cover different items (id mismatch)")
-    return float(np.linalg.norm(D.values - D_d.values))
-
-
-def block_contrast(
-    D: DistanceMatrix | np.ndarray, labels: np.ndarray
-) -> tuple[float, float, float]:
-    """Mean within-class and between-class distances (diagonal excluded) and their ratio."""
-    vals = D.values if isinstance(D, DistanceMatrix) else np.asarray(D, dtype=float)
-    labels = np.asarray(labels)
-    if labels.shape[0] != vals.shape[0]:
-        raise ValueError("labels length must match matrix size")
-    if len(set(labels.tolist())) < 2:
-        raise ValueError("block contrast needs at least 2 classes")
-    same = labels[:, None] == labels[None, :]
-    off = ~np.eye(len(labels), dtype=bool)
-    within = float(vals[same & off].mean())
-    between = float(vals[~same].mean())
-    return within, between, within / between
-
-
 def alignment_reduction_histogram(
     dc_values: np.ndarray, dq_values: np.ndarray
 ) -> tuple[np.ndarray, int]:
@@ -343,7 +318,5 @@ def alignment_reduction_histogram(
 
 def offdiag_pairs(D: DistanceMatrix) -> tuple[np.ndarray, list[tuple[str, str]]]:
     """Upper-triangle values with their id pairs, row-major order."""
-    N = D.size
-    idx = [(i, j) for i in range(N) for j in range(i + 1, N)]
-    vals = np.array([D.values[i, j] for i, j in idx])
-    return vals, [(D.ids[i], D.ids[j]) for i, j in idx]
+    iu = np.triu_indices(D.size, 1)
+    return D.values[iu], [(D.ids[i], D.ids[j]) for i, j in zip(*iu)]

@@ -4,7 +4,10 @@ Every command writes its artifacts plus a JSON run manifest listing the full
 configuration, input/output checksums and per-stage wall-clock timings.
 All randomness flows from explicit --seed flags; artifacts are byte-identical
 across reruns and ``--threads`` values (the option has no effect: pairs
-run in one process, and the ``dq`` pairs share one pool of warp refinements).
+run in one process, and the ``dq`` pairs share one pool of warp refinements)
+under one BLAS thread setting.  Some OpenBLAS kernels give other last bits
+with another thread count, so at n=100 the outputs differ between
+``OPENBLAS_NUM_THREADS=1`` and two threads.
 
 A Stiefel basis is fitted only by ``reduce``; ``distance`` and ``classify``
 apply a saved one with ``--basis``.
@@ -24,7 +27,6 @@ import numpy as np
 from . import io
 from .alignment import TrajectoryPair, align_dq, dist_dc
 from .analysis import (
-    DistanceMatrix,
     LabeledCollection,
     alignment_reduction_histogram,
     cross_validate,

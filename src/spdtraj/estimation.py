@@ -279,17 +279,3 @@ def normalize_trajectory(
     mats, track = normalize_det(traj.matrices)
     return _built(mats), track
 
-
-def pca_reduce_timeseries(
-    ts: MultivariateTimeSeries, d: int
-) -> MultivariateTimeSeries:
-    """Project channels onto the top-d principal components of the channel covariance."""
-    if d < 1 or d > ts.n_channels:
-        raise ValueError(
-            f"d must be in [1, {ts.n_channels}] for {ts.n_channels} channels, got {d}"
-        )
-    Xc = ts.values - ts.values.mean(axis=0)
-    C = Xc.T @ Xc / (ts.n_times - 1)
-    w, U = np.linalg.eigh(symmetrize(C))
-    comps = U[:, np.argsort(-w)[:d]]
-    return MultivariateTimeSeries(values=Xc @ comps, sampling_step=ts.sampling_step)

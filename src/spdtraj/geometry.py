@@ -132,12 +132,6 @@ def sym_exp(A: np.ndarray) -> np.ndarray:
     return _spectral(U, np.exp(w))
 
 
-def log_det(P: np.ndarray) -> float:
-    """log det(P) computed as the sum of log-eigenvalues (overflow safe)."""
-    w, _ = _eigh_pd(P)
-    return float(np.sum(np.log(w)))
-
-
 def require_unit_det(P: np.ndarray, tol: float = UNIT_DET_TOL) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition ``(w, U)`` of an SPD matrix that must be unit-determinant."""
     w, U = _eigh_pd(P)
@@ -211,8 +205,8 @@ def pair_matrix(P1: np.ndarray, P2: np.ndarray) -> np.ndarray:
     """``M = P1^-1 P2^2 P1^-1`` of matrices or stacks ``(..., n, n)``, unchecked.
 
     M is symmetric by construction and positive definite for nonsingular
-    ``P2``; the geodesic points and `reduction` derive from it.  Stacked
-    products are not exactly symmetric, so M is symmetrized.
+    ``P2``; the geodesic points derive from it.  Stacked products are not
+    exactly symmetric, so M is symmetrized.
     """
     Y = np.linalg.solve(P1, P2)
     M = Y @ _mT(Y)
@@ -250,8 +244,8 @@ def _geodesic_block(
     log-det channel interpolates linearly.  A point is rejected by its own
     eigenvalues, not by those of its square ``A M^t A``; a square's
     eigenvalue that roundoff takes below zero reads as a zero eigenvalue of
-    the point.  This is the one geodesic-point builder: `geodesic` calls it
-    for one point, and the trajectory walk of `alignment` a block at a time.
+    the point.  This is the one geodesic-point builder: the trajectory walk
+    of `alignment` calls it a block at a time.
     """
     X = _spectral(U[pair], w[pair] ** t[:, None])
     A = P1[pair]
@@ -306,49 +300,12 @@ def dist_unitdet(
     return float(0.5 * np.sqrt(np.sum(np.log(w) ** 2)))
 
 
-def dist_full(Pt1: np.ndarray, Pt2: np.ndarray, w_det: float | None = None) -> float:
-    """Distance between general SPD matrices: unit-det part plus weighted log-det.
-
-    ``w_det`` defaults to ``1/n``.  The squared distance is
-    ``dist_unitdet(P1, P2)^2 + w_det * (log det Pt2 - log det Pt1)^2``.
-    """
-    Pt1 = check_square(Pt1, "Pt1")
-    Pt2 = check_square(Pt2, "Pt2")
-    check_same_dim(Pt1, Pt2)
-    n = Pt1.shape[0]
-    if w_det is None:
-        w_det = 1.0 / n
-    if w_det < 0:
-        raise ValueError(f"w_det must be nonnegative, got {w_det}")
-    U1, c1 = normalize_det(Pt1)
-    U2, c2 = normalize_det(Pt2)
-    du = dist_unitdet(U1, U2)
-    dld = n * (c2 - c1)  # = log det Pt2 - log det Pt1
-    return float(np.sqrt(du * du + w_det * dld * dld))
-
-
 def log_euclidean_dist(P1: np.ndarray, P2: np.ndarray) -> float:
     """Log-Euclidean distance ||log P1 - log P2||_F (baseline metric)."""
     P1 = check_square(P1, "P1")
     P2 = check_square(P2, "P2")
     check_same_dim(P1, P2)
     return float(np.linalg.norm(sym_log(P1) - sym_log(P2)))
-
-
-def geodesic(P1: np.ndarray, P2: np.ndarray, t: float) -> np.ndarray:
-    """Point at parameter ``t`` in [0, 1] on the geodesic from P1 to P2."""
-    if not 0.0 <= t <= 1.0:
-        raise ValueError(f"geodesic parameter must lie in [0, 1], got {t}")
-    P1 = check_square(P1, "P1")
-    P2 = check_square(P2, "P2")
-    check_same_dim(P1, P2)
-    if t == 0.0:
-        return P1.copy()
-    if t == 1.0:
-        return P2.copy()
-    P1, P2 = P1[None], P2[None]
-    w, U = _eigh_pd(pair_matrix(P1, P2))
-    return _geodesic_block(P1, w, U, np.zeros(1, dtype=int), np.array([t]))[0][0]
 
 
 def transport_rotation(P1: np.ndarray, P2: np.ndarray) -> np.ndarray:
@@ -363,9 +320,3 @@ def transport_rotation(P1: np.ndarray, P2: np.ndarray) -> np.ndarray:
     check_same_dim(P1, P2)
     return log_map_and_rotation(P1, P2)[1]
 
-
-def parallel_transport(V: np.ndarray, P1: np.ndarray, P2: np.ndarray) -> np.ndarray:
-    """Parallel transport of coordinates ``V`` at P1 along the geodesic to P2."""
-    V = _check_coords(check_square(P1, "P1"), V)
-    O = transport_rotation(P1, P2)
-    return symmetrize(O @ V @ O.T)

@@ -1,8 +1,9 @@
-"""File formats: matrices, trajectory archives, bases, CSV tables, manifests.
+"""The files that the commands read and write.
 
-Binary layouts (all little-endian):
-  matrix     magic ``SPDM`` | u32 dim | f64 entries row-major
-  trajectory magic ``SPDT`` | u32 dim | u32 length | matrices in matrix format
+Trajectory archives, bases, CSV tables (distance matrices, labels, warps,
+values and reports) and run manifests.  Binary layouts (all little-endian):
+  trajectory magic ``SPDT`` | u32 dim | u32 length | ``length`` matrix records
+  matrix     magic ``SPDM`` | u32 dim | f64 entries row-major (one record)
   basis      magic ``STFB`` | u32 n | u32 d | f64 entries column-major
 
 A trajectory archive stores no times: a trajectory of length T sits on the
@@ -22,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import DistanceMatrix
-from .estimation import CovarianceTrajectory, MultivariateTimeSeries
+from .estimation import CovarianceTrajectory
 from .reduction import StiefelBasis
 
 _MAGIC_MATRIX = b"SPDM"
@@ -71,27 +72,7 @@ def _cells(
 
 
 # ---------------------------------------------------------------------------
-# matrices
-
-
-def save_matrix_csv(path, M: np.ndarray) -> None:
-    M = np.asarray(M, dtype=float)
-    n = M.shape[0]
-    lines = [f"n={n}"]
-    for row in M:
-        lines.append(",".join(_fmt(v) for v in row))
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def load_matrix_csv(path) -> np.ndarray:
-    lines = _lines(path)
-    head = lines[0][1] if lines else ""
-    if not head.startswith("n=") or not head[2:].isdigit() or int(head[2:]) < 1:
-        raise FormatError(f"{path}: missing 'n=<dim>' header")
-    n = int(head[2:])
-    if len(lines) != n + 1:
-        raise FormatError(f"{path}: expected {n} rows, found {len(lines) - 1}")
-    return np.array([_cells(path, k, ln, n) for k, ln in lines[1:]])
+# matrix records
 
 
 def _pack_matrix(M: np.ndarray) -> bytes:
@@ -129,15 +110,6 @@ def _unpack_matrix(buf: bytes, offset: int, n: int, where: str) -> np.ndarray:
     if m != n:
         raise FormatError(f"{where}: matrix has dim {m} != {n}")
     return np.frombuffer(buf, dtype="<f8", count=n * n, offset=offset + 8).reshape(n, n)
-
-
-def save_matrix_binary(path, M: np.ndarray) -> None:
-    Path(path).write_bytes(_pack_matrix(M))
-
-
-def load_matrix_binary(path) -> np.ndarray:
-    buf, (n,) = _read_checked(path, _MAGIC_MATRIX, "matrix", 1, lambda n: 8 * n * n)
-    return _unpack_matrix(buf, 0, n, str(path)).astype(float)
 
 
 # ---------------------------------------------------------------------------
@@ -190,63 +162,11 @@ def load_basis(path) -> StiefelBasis:
 # CSV tables
 
 
-def save_timeseries_csv(path, ts: MultivariateTimeSeries, header: list[str] | None = None) -> None:
-    """One sample per row, under an optional header that `load_timeseries_csv` reads back.
-
-    The header must have one cell per channel, on one line, and no cell that
-    parses as a number: the loader would read such a line as data.
-    """
-    lines = []
-    if header is not None:
-        line = ",".join(header)
-        cells = line.split(",")
-        if len(cells) != ts.values.shape[1] or "\n" in line or "\r" in line:
-            raise ValueError(
-                f"header has {len(cells)} cells on one line; expected {ts.values.shape[1]}"
-            )
-        if any(_is_number(c) for c in cells):
-            raise ValueError(f"header {line!r} has a numeric cell; it would load as data")
-        lines.append(line)
-    for row in ts.values:
-        lines.append(",".join(_fmt(v) for v in row))
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def _is_number(cell: str) -> bool:
-    try:
-        float(cell)
-    except ValueError:
-        return False
-    return True
-
-
-def load_timeseries_csv(path) -> MultivariateTimeSeries:
-    """One sample per row; the first line is a header only if no cell of it is a number."""
-    lines = _lines(path)
-    if lines and not any(_is_number(c) for c in lines[0][1].split(",")):
-        lines = lines[1:]
-    if not lines:
-        raise FormatError(f"{path}: empty time-series file")
-    width = lines[0][1].count(",") + 1
-    values = np.array([_cells(path, k, ln, width) for k, ln in lines])
-    return MultivariateTimeSeries(values=values)
-
-
 def save_warp_csv(path, warp) -> None:
     lines = ["t,gamma"]
     for x, y in zip(warp.knots_x, warp.knots_y):
         lines.append(f"{_fmt(x)},{_fmt(y)}")
     Path(path).write_text("\n".join(lines) + "\n")
-
-
-def load_warp_csv(path):
-    from .alignment import WarpingFunction
-
-    lines = _lines(path)
-    if lines and lines[0][1].startswith("t,"):
-        lines = lines[1:]
-    knots = np.array([_cells(path, k, ln, 2) for k, ln in lines]).reshape(-1, 2)
-    return WarpingFunction(knots_x=knots[:, 0], knots_y=knots[:, 1])
 
 
 def save_distance_csv(path, D: DistanceMatrix) -> None:
@@ -326,6 +246,3 @@ def sha256_file(path) -> str:
 def save_manifest(path, manifest: dict) -> None:
     Path(path).write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
-
-def load_manifest(path) -> dict:
-    return json.loads(Path(path).read_text())

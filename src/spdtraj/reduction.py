@@ -24,13 +24,11 @@ import numpy as np
 from .estimation import CovarianceTrajectory
 from .geometry import (
     DimensionMismatchError,
-    _eigh_pd,
     _spectral,
     normalize_det,
     require_unit_det,
     symmetrize,
 )
-from .geometry import pair_matrix as _pair_matrix  # reduction.pair_matrix adds the checks
 
 
 @dataclass(frozen=True)
@@ -101,17 +99,6 @@ class ReductionModel:
         return self.stopped_by == "tolerance"
 
 
-def pair_matrix(P_i: np.ndarray, P_j: np.ndarray) -> np.ndarray:
-    """P_ij = P_i^-1 P_j^2 P_i^-1; its log-norm reproduces the geodesic distance."""
-    P_i = np.asarray(P_i, dtype=float)
-    P_j = np.asarray(P_j, dtype=float)
-    if P_i.shape != P_j.shape:
-        raise DimensionMismatchError(f"shape mismatch {P_i.shape} vs {P_j.shape}")
-    _eigh_pd(P_i)
-    _eigh_pd(P_j)
-    return _pair_matrix(P_i, P_j)
-
-
 def build_pairs(
     training: list[np.ndarray] | np.ndarray,
     cap: int = 2048,
@@ -137,18 +124,6 @@ def build_pairs(
         inverses=inverses,
         squares=symmetrize(squares),
     )
-
-
-def objective(B: StiefelBasis | np.ndarray, pairs: PairSet) -> float:
-    """sum_ij tr( (B^T P_ij B)^2 ); always nonnegative."""
-    Bm = B.matrix if isinstance(B, StiefelBasis) else np.asarray(B, dtype=float)
-    return _objective_core(Bm, pairs)[1]
-
-
-def euclidean_gradient(B: StiefelBasis | np.ndarray, pairs: PairSet) -> np.ndarray:
-    """Ambient gradient 4 * sum_ij P_ij B (B^T P_ij B)."""
-    Bm = B.matrix if isinstance(B, StiefelBasis) else np.asarray(B, dtype=float)
-    return _objective_core(Bm, pairs)[0]
 
 
 def _objective_core(B: np.ndarray, pairs: PairSet) -> tuple[np.ndarray, float]:
@@ -291,45 +266,6 @@ def project(P: np.ndarray, B: StiefelBasis) -> tuple[np.ndarray, float | np.ndar
         raise DimensionMismatchError(f"matrix dim {P.shape[-1]} != basis n {B.n}")
     Q = symmetrize(B.matrix.T @ P @ B.matrix)
     return normalize_det(Q)
-
-
-def reconstruct(Q: np.ndarray, B: StiefelBasis) -> np.ndarray:
-    """Rank-d lift B Q B^T of a reduced matrix."""
-    Q = np.asarray(Q, dtype=float)
-    if Q.shape[0] != B.d:
-        raise DimensionMismatchError(f"matrix dim {Q.shape[0]} != basis d {B.d}")
-    return symmetrize(B.matrix @ Q @ B.matrix.T)
-
-
-def pseudoinverse(Q: np.ndarray, B: StiefelBasis) -> np.ndarray:
-    """Moore-Penrose inverse of the rank-d lift: B Q^-1 B^T."""
-    Q = np.asarray(Q, dtype=float)
-    if Q.shape[0] != B.d:
-        raise DimensionMismatchError(f"matrix dim {Q.shape[0]} != basis d {B.d}")
-    w = np.linalg.eigvalsh(symmetrize(Q))
-    if np.abs(w).min() < 1e-12:
-        raise ValueError("reduced matrix is singular; pseudoinverse undefined")
-    return symmetrize(B.matrix @ np.linalg.inv(Q) @ B.matrix.T)
-
-
-def lemma1_residual(
-    P_i: np.ndarray, P_j: np.ndarray, B: StiefelBasis
-) -> tuple[float, float]:
-    """The two reconstruction residuals that the pair-matrix identity equates.
-
-    Returns ``(||P_ij - Phat_i^- Phat_j^2 Phat_i^-||_F, ||P_ij - B Q_ij B^T||_F)``
-    with ``Q_ij = Q_i^-1 Q_j^2 Q_i^-1`` built from the raw projections
-    ``Q = B^T P B``; the two values agree identically.
-    """
-    Pij = pair_matrix(P_i, P_j)
-    Qi = symmetrize(B.matrix.T @ P_i @ B.matrix)
-    Qj = symmetrize(B.matrix.T @ P_j @ B.matrix)
-    Phat_i_pinv = pseudoinverse(Qi, B)
-    Phat_j = reconstruct(Qj, B)
-    lhs = Pij - Phat_i_pinv @ Phat_j @ Phat_j @ Phat_i_pinv
-    Qij = pair_matrix(Qi, Qj)
-    rhs = Pij - reconstruct(Qij, B)
-    return float(np.linalg.norm(lhs)), float(np.linalg.norm(rhs))
 
 
 def reduce_trajectory(

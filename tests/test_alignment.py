@@ -6,6 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as hs
 
 from conftest import (
+    evaluate,
+    geodesic,
+    log_det,
     random_spd,
     random_unitdet,
     sample_curve,
@@ -20,7 +23,6 @@ from spdtraj.alignment import (
     align_dq,
     apply_warp,
     dist_dc,
-    evaluate_trajectory,
     random_warp,
     resample_trajectory,
 )
@@ -30,13 +32,13 @@ from spdtraj.geometry import (
     _eigh_pd,
     _geodesic_block,
     dist_unitdet,
-    geodesic,
-    log_det,
     log_map,
     log_map_and_rotation,
     normalize_det,
     pair_matrix,
     sym_log,
+    sym_sqrt,
+    symmetrize,
     transport_rotation,
 )
 from spdtraj.simgen import gen_two_class
@@ -890,14 +892,16 @@ def test_evaluate_trajectory_hits_samples_exactly(rng):
     f = smooth_unitdet_curve(rng, 3)
     traj = sample_curve(f, 9)
     for k, t in enumerate(traj.times):
-        np.testing.assert_array_equal(evaluate_trajectory(traj, t), traj.matrices[k])
+        np.testing.assert_array_equal(evaluate(traj, t), traj.matrices[k])
 
 
 def test_evaluate_trajectory_interpolates_on_geodesic(rng):
     P1, P2 = random_unitdet(rng, 3), random_unitdet(rng, 3)
     traj = CovarianceTrajectory(matrices=np.stack([P1, P2]))
-    mid = evaluate_trajectory(traj, 0.5)
-    np.testing.assert_allclose(mid, geodesic(P1, P2, 0.5), atol=1e-10)
+    mid = evaluate(traj, 0.5)
+    # the geodesic's closed form sqrt(P1 M^t P1), at t = 1/2
+    half = sym_sqrt(symmetrize(P1 @ sym_sqrt(pair_matrix(P1, P2)) @ P1))
+    np.testing.assert_allclose(mid, half, atol=1e-10)
 
 
 def test_one_sample_trajectory_reads_its_sample_on_all_of_the_unit_interval(rng):
@@ -906,7 +910,7 @@ def test_one_sample_trajectory_reads_its_sample_on_all_of_the_unit_interval(rng)
     P = random_spd(rng, 3)
     point = CovarianceTrajectory(matrices=P[None])
     for s in (0.0, 1e-3, 0.5, 1.0):
-        np.testing.assert_array_equal(evaluate_trajectory(point, s), point.matrices[0])
+        np.testing.assert_array_equal(evaluate(point, s), point.matrices[0])
     out = resample_trajectory(point, 4)
     np.testing.assert_array_equal(out.times, np.linspace(0.0, 1.0, 4))
     for M in out.matrices:
@@ -914,7 +918,7 @@ def test_one_sample_trajectory_reads_its_sample_on_all_of_the_unit_interval(rng)
     warped = apply_warp(point, random_warp(5, 0.3, seed=1))
     np.testing.assert_array_equal(warped.matrices, point.matrices)
     with pytest.raises(ValueError, match=r"outside trajectory range \[0, 1\]"):
-        evaluate_trajectory(point, 1.5)
+        evaluate(point, 1.5)
 
 
 def test_trajectory_times_follow_from_its_length(rng):
@@ -961,7 +965,7 @@ def test_normalizing_before_resampling_matches_the_other_order():
     grid = np.linspace(0.0, 1.0, 100)
     for traj in (exp2, twoclass):
         general = CovarianceTrajectory(
-            matrices=np.array([evaluate_trajectory(traj, s) for s in grid])
+            matrices=np.array([evaluate(traj, s) for s in grid])
         )
         for include_logdet in (False, True):
             new = A._trajectory_features(traj, 100, include_logdet, None)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import sample_curve, smooth_unitdet_curve
+from conftest import block_contrast, frobenius_gap, sample_curve, smooth_unitdet_curve
 from spdtraj import alignment, analysis, geometry
 from spdtraj.alignment import (
     TrajectoryPair,
@@ -17,10 +17,8 @@ from spdtraj.analysis import (
     DistanceMatrix,
     LabeledCollection,
     alignment_reduction_histogram,
-    block_contrast,
     cross_validate,
     distance_matrix,
-    frobenius_gap,
     knn_classify,
     offdiag_pairs,
 )

@@ -1,6 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
+from conftest import block_contrast
 from spdtraj import io
 from spdtraj.alignment import TrajectoryPair, align_dq, resample_trajectory
 from spdtraj.cli import main
@@ -11,7 +14,7 @@ def run(argv):
 
 
 def _artifact_checksums(manifest_path):
-    man = io.load_manifest(manifest_path)
+    man = json.loads(manifest_path.read_text())
     return {entry["path"].split("/")[-1]: entry["sha256"] for entry in man["outputs"]}
 
 
@@ -93,8 +96,8 @@ def test_distance_dq_not_exceeding_dc(tmp_path, twoclass_dir):
     assert report[0] == "id1,id2,d_c,d_q,relative_reduction"
     assert len(report) == 1 + 4 * 3 // 2
     # the refinement counters go to the manifest only
-    man = io.load_manifest(dq_out.with_suffix(".manifest.json"))
-    dc_man = io.load_manifest(dc_out.with_suffix(".manifest.json"))
+    man = json.loads(dq_out.with_suffix(".manifest.json").read_text())
+    dc_man = json.loads(dc_out.with_suffix(".manifest.json").read_text())
     for key in ("refine_nonconverged", "refine_rounds", "refine_evaluations"):
         assert isinstance(man[key], int) and man[key] >= 0
         assert key not in dc_man
@@ -109,7 +112,7 @@ def test_distance_dq_manifest_asymmetry_quantiles(tmp_path, twoclass_dir):
     out = tmp_path / "dq.csv"
     argv = ["distance", *map(str, paths), "--metric", "dq", "--grid", "40", "--out", str(out)]
     assert run(argv) == 0
-    man = io.load_manifest(out.with_suffix(".manifest.json"))
+    man = json.loads(out.with_suffix(".manifest.json").read_text())
     trajs = [io.load_trajectory(p) for p in paths]
     gaps = []
     for i in range(4):
@@ -291,7 +294,7 @@ def test_reduce_deterministic_basis(tmp_path, twoclass_dir):
              "--out", str(b)]
         ) == 0
     assert b1.read_bytes() == b2.read_bytes()
-    man = io.load_manifest(b1.with_suffix(".manifest.json"))
+    man = json.loads(b1.with_suffix(".manifest.json").read_text())
     assert man["stopped_by"] in ("tolerance", "max_iters", "line_search")
     assert man["converged"] == (man["stopped_by"] == "tolerance")
     assert b1.with_suffix(".trace.csv").exists()
@@ -312,8 +315,6 @@ def test_distance_with_reduce_block_pattern(tmp_path):
     ) == 0
     D = io.load_distance_csv(dpath)
     labels = np.array([i // 4 for i in range(12)])
-    from spdtraj.analysis import block_contrast
-
     _, _, ratio = block_contrast(D.values, labels)
     assert ratio < 1.0
 
@@ -376,7 +377,7 @@ def test_basis_is_a_manifest_input(tmp_path, twoclass_dir, command):
     assert run(
         [command, *inputs, *extra, "--basis", str(basis), "--grid", "20", "--out", str(out)]
     ) == 0
-    man = io.load_manifest(out.with_suffix(".manifest.json"))
+    man = json.loads(out.with_suffix(".manifest.json").read_text())
     assert {"path": str(basis), "sha256": io.sha256_file(basis)} in man["inputs"]
 
 
@@ -569,7 +570,7 @@ def test_classify_malformed_csv_exit_2(tmp_path, capsys, target, line, text, mes
 
 def test_every_command_writes_manifest(tmp_path, twoclass_dir):
     assert (twoclass_dir / "manifest.json").exists()
-    man = io.load_manifest(twoclass_dir / "manifest.json")
+    man = json.loads((twoclass_dir / "manifest.json").read_text())
     assert man["command"] == "simulate-twoclass"
     assert man["outputs"]
     assert all("sha256" in e for e in man["outputs"])

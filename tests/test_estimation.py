@@ -3,7 +3,7 @@ import logging
 import numpy as np
 import pytest
 
-from conftest import random_unitdet
+from conftest import dist_full, log_det, random_unitdet
 from spdtraj.estimation import (
     CovarianceTrajectory,
     MultivariateTimeSeries,
@@ -12,11 +12,10 @@ from spdtraj.estimation import (
     ledoit_wolf,
     logdet_curve,
     normalize_trajectory,
-    pca_reduce_timeseries,
     smooth_resample,
     window_count,
 )
-from spdtraj.geometry import dist_full, dist_unitdet, log_det, sym_exp, sym_log
+from spdtraj.geometry import dist_unitdet, sym_exp, sym_log
 
 
 # ---------------------------------------------------------------------------
@@ -231,53 +230,6 @@ def test_normalize_trajectory_recombines(rng):
         np.testing.assert_allclose(
             np.exp(track[k]) * unit.matrices[k], traj.matrices[k], rtol=1e-10
         )
-
-
-# ---------------------------------------------------------------------------
-# PCA baseline
-
-
-def test_pca_full_dimension_preserves_distances(rng):
-    ts = MultivariateTimeSeries(values=rng.normal(size=(50, 5)))
-    out = pca_reduce_timeseries(ts, 5)
-    X = ts.values - ts.values.mean(axis=0)
-    Y = out.values
-    for i in (0, 7, 23):
-        for j in (3, 40):
-            dx = np.linalg.norm(X[i] - X[j])
-            dy = np.linalg.norm(Y[i] - Y[j])
-            assert dy == pytest.approx(dx, abs=1e-8)
-
-
-def test_pca_rank_one_reconstruction(rng):
-    v = rng.normal(size=4)
-    scores = rng.normal(size=60)
-    ts = MultivariateTimeSeries(values=np.outer(scores, v))
-    out = pca_reduce_timeseries(ts, 1)
-    Y = out.values
-    Xc = ts.values - ts.values.mean(axis=0)
-    # projection onto the retained component reproduces the data
-    resid = Xc - Y @ np.linalg.pinv(Y) @ Xc
-    assert np.abs(resid).max() < 1e-8
-
-
-def test_pca_retained_variance_matches_spectrum(rng):
-    A = rng.normal(size=(6, 6))
-    X = rng.normal(size=(500, 6)) @ A.T
-    ts = MultivariateTimeSeries(values=X)
-    d = 3
-    out = pca_reduce_timeseries(ts, d)
-    Xc = X - X.mean(axis=0)
-    w = np.linalg.eigvalsh(Xc.T @ Xc / (X.shape[0] - 1))[::-1]
-    expected_fraction = w[:d].sum() / w.sum()
-    got_fraction = out.values.var(axis=0, ddof=1).sum() / Xc.var(axis=0, ddof=1).sum()
-    assert got_fraction == pytest.approx(expected_fraction, rel=1e-10)
-
-
-def test_pca_rejects_oversized_dimension(rng):
-    ts = MultivariateTimeSeries(values=rng.normal(size=(20, 3)))
-    with pytest.raises(ValueError):
-        pca_reduce_timeseries(ts, 4)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as hs
 
 from conftest import (
+    dist_full,
+    geodesic,
+    log_det,
     ortho_defect,
+    parallel_transport,
     random_sym,
     random_tracefree,
     random_unitdet,
@@ -17,17 +21,13 @@ from spdtraj.geometry import (
     NotPositiveDefiniteError,
     _eigh_pd,
     _geodesic_block,
-    dist_full,
     dist_unitdet,
     exp_map,
-    geodesic,
-    log_det,
     log_euclidean_dist,
     log_map,
     log_map_and_rotation,
     normalize_det,
     pair_matrix,
-    parallel_transport,
     sym_exp,
     sym_log,
     sym_sqrt,
@@ -222,10 +222,18 @@ def test_dist_full_decomposition_oracle(rng):
     assert dist_full(Pt1, Pt2) ** 2 - du2 == pytest.approx(dld**2 / n, abs=1e-10)
 
 
-def test_dist_full_rejects_negative_weight(rng):
-    P = random_unitdet(rng, 3)
-    with pytest.raises(ValueError, match="w_det"):
-        dist_full(P, P, w_det=-0.1)
+def test_dist_full_rejects_negative_weight(rng, tmp_path, capsys):
+    # the weight comes from --w-det, which is checked before any input is read
+    from spdtraj import cli, io
+    from spdtraj.estimation import CovarianceTrajectory
+
+    path = tmp_path / "p.spdt"
+    io.save_trajectory(path, CovarianceTrajectory(matrices=random_unitdet(rng, 3)[None]))
+    argv = ["distance", str(path), str(path), "--items", "matrices", "--include-logdet",
+            "--w-det", "-0.1", "--out", str(tmp_path / "d.csv")]
+    capsys.readouterr()
+    assert cli.main(argv) == 2
+    assert "--w-det must be at least 0" in capsys.readouterr().err
 
 
 def test_log_euclidean_known_values():
@@ -426,19 +434,39 @@ def test_polar_step_on_the_exp2_transport_stack():
     # the rotation is the polar factor of its definition P2^-1 P1 M^(1/2).
     # W U^T multiplies two LAPACK orthogonal factors at n=100, so it is
     # orthogonal to a few eps: 3.3e-15 here, where numpy's own polar factor
-    # u @ vt reads 2.2e-15
+    # u @ vt reads 2.2e-15.
+    # The two routes to the rotation agree to n eps.  Each ends in a
+    # backward-stable SVD of an n x n matrix, with a normwise backward error
+    # of p(n) eps, p(n) a modest multiple of n.  A polar factor moves by at
+    # most 2 |dA| / (s_min(A) + s_min(A + dA)) (R.-C. Li, SIAM J. Matrix
+    # Anal. Appl. 16(1), 1995), which is about |dA| here: the samples'
+    # condition is below 2, so every matrix either route solves with or
+    # decomposes has condition below 4.  So each route is within about
+    # p(n) eps of the exact rotation, and n eps (2.2e-14) bounds the gap
+    # with p(n) = n/2.  The gap read 2.1e-15 with BLAS pinned to one thread
+    # and 1.8e-15 with two.
     from spdtraj.alignment import resample_trajectory
     from spdtraj.estimation import normalize_trajectory
     from spdtraj.simgen import Exp2Config, gen_exp2
 
     smooth, _, _ = gen_exp2(Exp2Config(n=100, seed=0))
     unit, _ = normalize_trajectory(resample_trajectory(smooth, 100))
+    assert np.linalg.cond(unit.matrices).max() < 2.0
     P1, P2 = unit.matrices[:-1], unit.matrices[1:]
     raw = raw_rotation(P1, P2)
     assert ortho_defect(raw) < 1e-13
     O = log_map_and_rotation(P1, P2)[1]
     assert ortho_defect(O) <= 5e-15
-    assert np.abs(O - _svd_polar(raw)).max() <= 2e-15
+    polar = _svd_polar(raw)
+    n = O.shape[-1]
+    bound = n * np.finfo(float).eps
+    assert np.abs(O - polar).max() <= bound
+    # negative control: O turned by expm(K) with K skew and of size 1e-12,
+    # from its Taylor series, exact to double precision at that size
+    K = np.random.default_rng(0).normal(size=(n, n))
+    K = 1e-12 * (K - K.T)
+    turned = O @ (np.eye(n) + K + K @ K / 2)
+    assert np.abs(turned - polar).max() > bound
 
 
 def _oracle_log_map_and_rotation(P1, P2):
@@ -486,13 +514,11 @@ def test_ill_conditioned_pair_matches_the_oracle(n, cond):
 
 
 def test_tangent_requires_symmetric_coords(rng):
-    P1, P2 = random_unitdet(rng, 3), random_unitdet(rng, 3)
+    P = random_unitdet(rng, 3)
     V = random_tracefree(rng, 3)
     V[0, 1] += 1e-3  # still trace-free, no longer symmetric
     with pytest.raises(ValueError, match="symmetric"):
-        exp_map(P1, V)
-    with pytest.raises(ValueError, match="symmetric"):
-        parallel_transport(V, P1, P2)
+        exp_map(P, V)
 
 
 def test_symmetrize_exact():

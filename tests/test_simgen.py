@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from conftest import block_contrast, log_det
 from spdtraj.alignment import TrajectoryPair, align_dq, apply_warp
-from spdtraj.analysis import LabeledCollection, block_contrast, cross_validate, distance_matrix
-from spdtraj.geometry import dist_unitdet, log_det
+from spdtraj.analysis import LabeledCollection, cross_validate, distance_matrix
+from spdtraj.geometry import dist_unitdet
 from spdtraj.simgen import (
     Exp1Config,
     Exp2Config,
