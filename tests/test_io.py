@@ -121,16 +121,26 @@ def test_warp_csv_roundtrip(tmp_path):
     np.testing.assert_array_equal(back[:, 1], w.knots_y)
 
 
-def test_distance_csv_roundtrip(tmp_path, rng):
+def test_distance_csv_roundtrip(tmp_path):
+    D = DistanceMatrix(
+        ids=["x", "y", "z"],
+        values=np.array([[0, 1.5, 2.25], [1.5, 0, 0.125], [2.25, 0.125, 0]]),
+        metric="dc",
+    )
     path = tmp_path / "d.csv"
-    # short decimals, and full-precision values that come back bit for bit
-    for values in (np.array([[0, 1.5, 2.25], [1.5, 0, 0.125], [2.25, 0.125, 0]]),
-                   np.abs(rng.normal(size=(3, 3)))):
-        D = DistanceMatrix(ids=["x", "y", "z"], values=values, metric="dc")
-        io.save_distance_csv(path, D)
-        back = io.load_distance_csv(path, metric="dc")
-        assert back.ids == D.ids
-        np.testing.assert_array_equal(back.values, D.values)
+    io.save_distance_csv(path, D)
+    back = io.load_distance_csv(path, metric="dc")
+    assert back.ids == D.ids
+    np.testing.assert_array_equal(back.values, D.values)
+
+
+def test_distance_csv_full_precision_roundtrip(tmp_path, rng):
+    # full-precision values come back bit for bit
+    values = np.abs(rng.normal(size=(4, 4)))
+    D = DistanceMatrix(ids=["a", "b", "c", "d"], values=values, metric="dc")
+    path = tmp_path / "d.csv"
+    io.save_distance_csv(path, D)
+    np.testing.assert_array_equal(io.load_distance_csv(path).values, D.values)
 
 
 def test_labels_csv_roundtrip(tmp_path):
@@ -142,10 +152,16 @@ def test_labels_csv_roundtrip(tmp_path):
 @pytest.mark.parametrize(
     "loader, text, line, message",
     [
+        (io.load_distance_csv, "a,b\n0.0,1.0\n1.0,x\n", 3, "cell 'x' is not a number"),
         (io.load_distance_csv, "a,b\n0.0,1.0\n\n1.0,x\n", 4, "cell 'x' is not a number"),
+        (io.load_distance_csv, "a,b\nx,1.0\n1.0,0.0\n", 2, "cell 'x' is not a number"),
+        (io.load_distance_csv, "a,b,c\n0.0,1.0,2.0\n1.0,?,0.5\n2.0,0.5,0.0\n", 3,
+         "cell '?' is not a number"),
         (io.load_distance_csv, "a,b\n0.0,inf\ninf,0.0\n", 2, "cell 'inf' is not finite"),
+        (io.load_distance_csv, "a,b\n0.0,1.0\n\n1.0\n", 4, "expected 2 cells, found 1"),
         (io.load_distance_csv, "a,b\n0.0,1.0\n1.0,0.0,2.0\n", 3, "expected 2 cells, found 3"),
         (io.load_labels_csv, "id,label\na,0\nb\n", 3, "expected 2 cells, found 1"),
+        (io.load_labels_csv, "a,0\nb\n", 2, "expected 2 cells, found 1"),
     ],
 )
 def test_csv_loaders_name_file_and_line(tmp_path, loader, text, line, message):
