@@ -16,12 +16,16 @@ gives its values at times in [0, 1], a block at a time: it decomposes each
 input interval once and builds the block's points on it together.
 Resampling (``resample_trajectory``, and ``apply_warp``, which reads the
 input at the warped grid ``gamma(t_k)``) gathers the blocks into a stack.
-The TSRVF features take them as they come, in one pass: each consecutive
-pair of points is decomposed once, which gives the forward velocity and
-the transport rotation (transport backwards along a geodesic is the
-transpose), both from one SVD (`geometry.log_map_and_rotation`).  The backward difference at the last
-sample, carried back to the start, equals the row before it, since a
-geodesic's velocity is parallel along it.
+The TSRVF features take them as they come, in one pass, but walk only the
+first and last grid point of each input interval: the resampled trajectory
+is piecewise geodesic, and along one geodesic the velocity is parallel and
+the transports compose, so every grid pair inside one interval has the
+same row.  Each consecutive pair of walked points is decomposed once,
+which gives the forward velocity and the transport rotation (transport
+backwards along a geodesic is the transpose), both from one SVD
+(`geometry.log_map_and_rotation`).  The backward difference at the last
+grid point, carried back to the start, equals the row before it, for the
+same reason.
 
 The warp search follows the fast approximation: dynamic programming over
 monotone lattice paths with local moves {(1,1), (1,2), (2,1)}, followed by a
@@ -64,7 +68,8 @@ Gram tables' row sums and the unaligned integrand) go in blocks of one
 fixed byte budget, `geometry._BLOCK_BYTES`, and write each block's rows
 straight into their result.  A stage then holds its inputs, its output and
 a few blocks, not several stacks: at n=100 a 100-sample stack is 8 MB and a
-block is 16 matrices.  So the features hold no resampled stack.  Only the
+block is 16 matrices.  So the features hold no resampled stack, and a run
+of grid pairs that share one row is written row by row.  Only the
 warp search's Gram product takes a pair's transported rows whole, in one
 GEMM, since a GEMM over blocks of rows gives other bits.  Every per-matrix
 LAPACK call, GEMM and row sum is the one the whole stack would make, so the
@@ -173,29 +178,41 @@ class TrajectoryPair:
             )
 
 
+def _intervals(traj: CovarianceTrajectory, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The input interval ``k`` of each time in ``s`` and the time's position ``u`` in it.
+
+    Interval ``k`` runs from sample ``k`` to ``k + 1``; a time on an inner
+    sample belongs to the interval that starts there, and time 1 to the
+    last interval.  A one-sample trajectory has no interval: every time
+    reads ``k = 0`` and ``u = 0``, its sample.
+    """
+    bad = (s < -1e-12) | (s > 1.0 + 1e-12)
+    if bad.any():
+        raise ValueError(f"time {s[bad][0]} outside trajectory range [0, 1]")
+    k, u = np.zeros(s.size, dtype=np.intp), np.zeros(s.size)
+    if traj.length > 1:
+        times = traj.times
+        s = np.clip(s, 0.0, 1.0)
+        k = np.clip(np.searchsorted(times, s, side="right") - 1, 0, traj.length - 2)
+        u = (s - times[k]) / (times[k + 1] - times[k])
+    return k, u
+
+
 def _walk(traj: CovarianceTrajectory, s: np.ndarray):
     """Trajectory values at times ``s`` in [0, 1], one block of `geometry._blocks` at a time.
 
     Yields ``(block, values, smallest)``: a slice of ``s``, the values at
     those times and the smallest eigenvalue of each interpolated value, inf
-    for a stored sample.  Points within 1e-12 (relative to their interval)
-    of a stored sample take that sample; the others lie on the geodesic of
-    their input interval (`geometry._geodesic_block`).  An interval's pair
-    matrix is decomposed in the first block with a point on it, and the
-    decomposition of a block's last interval carries into the next block, so
-    for increasing ``s`` each interval is decomposed once.
+    for a stored sample.  Points within 1e-12 (relative to their interval,
+    `_intervals`) of a stored sample take that sample; the others lie on the
+    geodesic of their input interval (`geometry._geodesic_block`).  An
+    interval's pair matrix is decomposed in the first block with a point on
+    it, and the decomposition of a block's last interval carries into the
+    next block, so for increasing ``s`` each interval is decomposed once.
     """
-    times, mats = traj.times, traj.matrices
-    bad = (s < -1e-12) | (s > 1.0 + 1e-12)
-    if bad.any():
-        raise ValueError(f"time {s[bad][0]} outside trajectory range [0, 1]")
+    mats = traj.matrices
     n = traj.dim
-    # a one-sample trajectory has no interval: it reads its sample at every time
-    k, u = np.zeros(s.size, dtype=np.intp), np.zeros(s.size)
-    if traj.length > 1:
-        s = np.clip(s, 0.0, 1.0)
-        k = np.clip(np.searchsorted(times, s, side="right") - 1, 0, traj.length - 2)
-        u = (s - times[k]) / (times[k + 1] - times[k])
+    k, u = _intervals(traj, s)
     inner = (u > 1e-12) & (u < 1 - 1e-12)
     stored = np.where(u >= 1 - 1e-12, k + 1, k)
     carried = -1, np.empty(n), np.empty((n, n))  # the last decomposed interval
@@ -276,12 +293,12 @@ class _Features:
 
 
 def _chain_rotations(O: np.ndarray, R: np.ndarray) -> np.ndarray:
-    """Overwrite O with the rotations that carry identity-chart coords back to sample 0.
+    """Overwrite O with the rotations that carry identity-chart coords back to the start.
 
-    ``O[k]`` is the transport rotation from sample k to k+1 of a block, and
-    ``R`` the rotation that carries the block's first sample back; transport
+    ``O[k]`` is the transport rotation from point k to k+1 of a block, and
+    ``R`` the rotation that carries the block's first point back; transport
     from k+1 back to k is the transpose, so ``R[k+1] = R[k] O[k]^T``.
-    Returns the rotation of the sample after the block.
+    Returns the rotation of the point after the block.
     """
     for k in range(O.shape[0]):
         O[k], R = R, R @ O[k].T
@@ -293,16 +310,27 @@ def _trajectory_features(
 ) -> _Features:
     """TSRVF of ``traj`` resampled onto ``grid`` points and determinant-normalized.
 
-    The rows are those of the features of ``resample_trajectory(traj,
-    grid)``, bit for bit, but no resampled stack is built: the walk over the
-    input samples (`_walk`) gives one block of unit-determinant points at a
-    time, and the block's consecutive pairs, with the previous block's last
-    point in front, go straight to `geometry.log_map_and_rotation`.  Row k
-    is the velocity at sample k (the forward geodesic difference, and the
-    backward one at the last sample), carried back to the start point by a
-    running rotation and scaled by the inverse square root of its speed;
-    zero-speed rows are zero.  Each block's rows are scaled as they are
-    written into the result, so the log-det channel's column costs no copy.
+    Row k is the velocity at grid point k (the forward geodesic difference,
+    and the backward one at the last point), carried back to the start
+    point by a running rotation and scaled by the inverse square root of
+    its speed; zero-speed rows are zero.  The resampled trajectory is
+    piecewise geodesic, and along one geodesic the velocity is parallel and
+    the transports compose, so every grid pair inside one input interval
+    has the same row.  So only the first and last grid point of each
+    interval are built: the walk over the input samples (`_walk`) gives
+    them a block at a time, and consecutive ones go straight to
+    `geometry.log_map_and_rotation`.  A pair of them inside one interval
+    gives the one row of the grid pairs between them and carries the
+    rotation across them; any other pair is a grid pair that straddles an
+    input sample.  The rotation chain follows the grid's polyline, as the
+    per-grid-pair route does.  Each row is scaled as it is written into the
+    result, so the log-det channel's column costs no copy, and no resampled
+    stack is built.
+
+    The rows are those of the TSRVF of ``resample_trajectory(traj, grid)``,
+    one decomposition per grid pair, up to roundoff: within 1e-10 of their
+    largest entry.  When ``grid`` is at most the input's length every grid
+    pair straddles an input sample, and the rows are those, bit for bit.
     """
     if grid < 2:
         raise ValueError("TSRVF needs at least 2 samples")
@@ -312,8 +340,13 @@ def _trajectory_features(
     n = unit.dim
     if w_det is None:
         w_det = 1.0 / n
-    dts = np.diff(s)
     sdot = np.gradient(track, s) if include_logdet else None
+    # the grid points that start or end their input interval's run
+    k = _intervals(unit, s)[0]
+    edge = np.ones(grid, dtype=bool)
+    edge[1:-1] = (k[1:-1] != k[:-2]) | (k[1:-1] != k[2:])
+    ends = edge.nonzero()[0]
+    spans = np.diff(s[ends])
 
     def scale(rows: slice, speed: np.ndarray) -> np.ndarray:
         if include_logdet:
@@ -321,29 +354,36 @@ def _trajectory_features(
         return np.where(speed > _ZERO_SPEED, 1.0 / np.sqrt(np.maximum(speed, _ZERO_SPEED)), 0.0)
 
     q = np.empty((grid, n * n + include_logdet))
-    scales, smallest = np.empty(grid), np.empty(grid)
+    scales = np.empty(grid)
+    # an unbuilt point lies on the geodesic between two built ones, so its
+    # smallest eigenvalue is at least theirs (`_geodesic_block`): checking
+    # the built points rejects what checking every point would
+    smallest = np.full(grid, np.inf)
     R = np.eye(n)
     P = np.empty((0, n, n))  # the previous block's last point
-    for b, points, least in _walk(unit, s):
-        smallest[b] = least
+    for b, points, least in _walk(unit, s[ends]):
+        smallest[ends[b]] = least
         P = np.concatenate([P, points])
         del points
         if P.shape[0] < 2:  # a first block of one point has no pair
             continue
         V, O = log_map_and_rotation(P[:-1], P[1:])
         P = P[-1:].copy()
-        r = slice(b.stop - 1 - V.shape[0], b.stop - 1)  # the rows of the block's pairs
-        V /= dts[r, None, None]
+        u = slice(b.stop - 1 - V.shape[0], b.stop - 1)  # the block's pairs of built points
+        V /= spans[u, None, None]
         speed = np.linalg.norm(V, axis=(1, 2))
-        scales[r] = scale(r, speed)
+        r = slice(ends[u.start], ends[u.stop])  # the grid pairs they span
+        scales[r] = scale(r, np.repeat(speed, np.diff(ends[u.start : u.stop + 1])))
         R = _chain_rotations(O, R)
         RV = O @ V
         del V
         rows = np.matmul(RV, O.transpose(0, 2, 1))
         del O, RV
-        np.multiply(rows, scales[r, None, None], out=q[r, : n * n].reshape(-1, n, n))
-        last = rows[-1].copy()  # unscaled: the last sample's row repeats it
-        del rows  # before the next block is built
+        for j, row in enumerate(rows, u.start):
+            r = slice(ends[j], ends[j + 1])
+            np.multiply(row, scales[r, None, None], out=q[r, : n * n].reshape(-1, n, n))
+        last = row.copy()  # unscaled: the last point's row repeats it
+        del rows, row  # before the next block is built
     scales[-1:] = scale(slice(grid - 1, grid), speed[-1:])  # and so does its speed
     np.multiply(last, scales[-1], out=q[-1, : n * n].reshape(n, n))
     _require_pd_samples(smallest * np.exp(track))  # as `resample_trajectory` checks
@@ -514,10 +554,6 @@ class _PairGrams:
             np.concatenate([self.C2[slots], self.C1[slots]]),
         )
 
-    def rows(self, i: int, slots=slice(None)) -> np.ndarray:
-        """Row ``i`` of the directed tables of ``slots``: ``G[p, i, :]``, then ``G[p, :, i]``."""
-        return np.concatenate([self.G[slots, i], self.G[slots, :, i]])
-
 
 def _dp_lattice(
     gr: _PairGrams, dt: float, slots=slice(None)
@@ -528,46 +564,55 @@ def _dp_lattice(
     segment's constant slope m, by the trapezoid rule on the native grid
     (the (2,1) move needs the midpoint of adjacent q2 samples).  The
     directed tables of ``slots`` (forward, then mirrored) advance one row at
-    a time together; a row's edge costs are formed from the rows of G it
-    reads, and the DP keeps its last two rows.
+    a time together, and the DP keeps its last two rows.  The edge costs
+    depend on G alone, so they are formed for a chunk of rows at once; each
+    entry is computed exactly as it would be alone, so the chunks do not
+    change the bits.
     """
     N1, N2, C2 = gr.directed(slots)
     K, T = N1.shape
-    inf = np.inf
     s2 = np.sqrt(2.0)
     N2mid = np.zeros((K, T))
     N2mid[:, 1:] = 0.25 * (N2[:, :-1] + 2.0 * C2 + N2[:, 1:])
+    N2, N2mid = N2[:, None], N2mid[:, None]
 
-    def terms(i):
-        # row i of g1, g2, gh and ghmid: the squared gaps of moves ending there
-        Gi = gr.rows(i, slots)
-        Gmid = np.zeros((K, T))
-        Gmid[:, 1:] = 0.5 * (Gi[:, :-1] + Gi[:, 1:])
-        a = N1[:, i, None]
-        return (
-            a - 2.0 * Gi + N2,
-            a - 2.0 * s2 * Gi + 2.0 * N2,
-            a - s2 * Gi + 0.5 * N2,
-            a - s2 * Gmid + 0.5 * N2mid,
-        )
+    def terms(r: slice, out: np.ndarray) -> None:
+        # g1, g2, gh and ghmid on rows r: the squared gaps of moves ending there
+        Gr = np.concatenate([gr.G[slots, r], gr.G[slots, :, r].transpose(0, 2, 1)])
+        Gmid = np.zeros(Gr.shape)
+        Gmid[..., 1:] = 0.5 * (Gr[..., :-1] + Gr[..., 1:])
+        a = N1[:, r, None]
+        np.add(a - 2.0 * Gr, N2, out=out[0])
+        np.add(a - 2.0 * s2 * Gr, 2.0 * N2, out=out[1])
+        np.add(a - s2 * Gr, 0.5 * N2, out=out[2])
+        np.add(a - s2 * Gmid, 0.5 * N2mid, out=out[3])
 
-    D1 = np.full((K, T), inf)  # row i-1 of the DP
+    D1 = np.full((K, T), np.inf)  # row i-1 of the DP
     D1[:, 0] = 0.0
     D2 = D1  # row i-2
     move = np.zeros((K, T, T), dtype=np.int8)
-    prev2 = prev = terms(0)
-    for i in range(1, T):
-        cur = terms(i)
-        cand = np.full((3, K, T), inf)
-        cand[0, :, 1:] = D1[:, :-1] + dt / 2.0 * (prev[0][:, :-1] + cur[0][:, 1:])
-        cand[1, :, 2:] = D1[:, :-2] + dt / 2.0 * (prev[1][:, :-2] + cur[1][:, 2:])
-        if i >= 2:
-            cand[2, :, 1:] = D2[:, :-1] + dt * (
-                0.5 * prev2[2][:, :-1] + prev[3][:, 1:] + 0.5 * cur[2][:, 1:]
-            )
-        move[:, i] = np.argmin(cand, axis=0)
-        D2, D1 = D1, np.minimum.reduce(cand, axis=0)  # the costs of the moves taken
-        prev2, prev = prev, cur
+    cand = np.full((3, K, T), np.inf)  # the moves' costs; unreachable entries stay inf
+    # the edge costs of the rows of a chunk are formed at once, from the
+    # terms of those rows and of the two before them: a few tables take many
+    # rows at a time, a pool of many tables one (its rows are long already)
+    rows = max(1, 32 // K)
+    g = np.zeros((4, K, rows + 2, T))  # row -1 stays zero: no (2,1) move reads it
+    terms(slice(0, 1), g[:, :, 1:2])
+    for start in range(1, T, rows):
+        stop = min(start + rows, T)
+        terms(slice(start, stop), g[:, :, 2 : stop - start + 2])
+        g1, g2, gh, ghmid = g[:, :, : stop - start + 2]
+        e1 = dt / 2.0 * (g1[:, 1:-1, :-1] + g1[:, 2:, 1:])
+        e2 = dt / 2.0 * (g2[:, 1:-1, :-2] + g2[:, 2:, 2:])
+        e3 = dt * (0.5 * gh[:, :-2, :-1] + ghmid[:, 1:-1, 1:] + 0.5 * gh[:, 2:, 1:])
+        for j, i in enumerate(range(start, stop)):
+            np.add(D1[:, :-1], e1[:, j], out=cand[0, :, 1:])
+            np.add(D1[:, :-2], e2[:, j], out=cand[1, :, 2:])
+            if i >= 2:
+                np.add(D2[:, :-1], e3[:, j], out=cand[2, :, 1:])
+            move[:, i] = cand.argmin(axis=0)
+            D2, D1 = D1, np.minimum.reduce(cand, axis=0)  # the costs of the moves taken
+        g[:, :, :2] = g[:, :, stop - start : stop - start + 2]  # the next chunk's rows before
 
     paths = []
     for mv in move:
@@ -680,31 +725,38 @@ def _project_slopes(Y: np.ndarray, dt: float) -> np.ndarray:
     ``eps (m + f_r |lam_r|)`` for ``m`` entries of which ``f_r`` are free:
     ``m eps`` from summing to one, and one spacing of the shift per free
     entry.  The second term is far above 1e-15 when a long Barzilai-Borwein
-    step makes the shift large.  The rows iterate together, each exactly as
-    it would alone, until every sum is restored.
+    step makes the shift large.  The rows' entries are clipped and summed
+    together, and each row's shift takes its own scalar step, exactly as it
+    would alone, until every sum is restored: a lane pool projects a few
+    rows at a time, where a scalar step costs less than a stacked one.
     """
     lo, hi = _SLOPE_MIN * dt, _SLOPE_MAX * dt
+    m = Y.shape[1]
     eps = np.finfo(float).eps
     # rounding is monotone, so the bracket min(y) - hi equals min(y - hi)
-    a = np.minimum.reduce(Y, axis=1) - hi
-    b = np.maximum.reduce(Y, axis=1) - lo
-    lam = (np.add.reduce(Y, axis=1) - 1.0) / Y.shape[1]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for _ in range(64):
-            z = Y - lam[:, None]
-            u = np.minimum(np.maximum(z, lo), hi)
-            excess = np.add.reduce(u, axis=1) - 1.0
-            free = np.add.reduce((z > lo) & (z < hi), axis=1, dtype=float)
-            going = np.abs(excess) > eps * (Y.shape[1] + free * np.abs(lam))
-            if not going.any():
-                break
-            up = excess > 0
-            a = np.where(up, lam, a)
-            b = np.where(up, b, lam)
-            # with no free entry the Newton step is infinite: bisection takes over
-            nxt = lam + excess / free
-            # a finished row keeps its shift, so it recomputes the same u
-            lam = np.where(going, np.where((a < nxt) & (nxt < b), nxt, 0.5 * (a + b)), lam)
+    a = (np.minimum.reduce(Y, axis=1) - hi).tolist()
+    b = (np.maximum.reduce(Y, axis=1) - lo).tolist()
+    lam = ((np.add.reduce(Y, axis=1) - 1.0) / m).tolist()
+    for _ in range(64):
+        z = Y - np.array(lam)[:, None]
+        u = np.minimum(np.maximum(z, lo), hi)
+        sums = np.add.reduce(u, axis=1).tolist()
+        free = np.add.reduce((z > lo) & (z < hi), axis=1).tolist()
+        going = False
+        for r, (total, f, shift) in enumerate(zip(sums, free, lam)):
+            x = total - 1.0  # the excess
+            if abs(x) <= eps * (m + f * abs(shift)):
+                continue  # a finished row keeps its shift, so it recomputes the same u
+            going = True
+            if x > 0:
+                a[r] = shift
+            else:
+                b[r] = shift
+            # with no free entry there is no Newton step: bisection takes over
+            nxt = shift + x / f if f else a[r]
+            lam[r] = nxt if a[r] < nxt < b[r] else 0.5 * (a[r] + b[r])
+        if not going:
+            break
     return u
 
 
@@ -786,14 +838,15 @@ class _Lanes:
         self.evaluations += c_new.shape[0]
         # Armijo test against the iterate's cost
         acc = c_new <= self.c + 1e-4 * self.lam * self.deriv
-        # backtrack: safeguarded minimizer of the quadratic through c, deriv, c_new
-        back = (~acc).nonzero()[0]
-        lam, deriv = self.lam[back], self.deriv[back]
-        q = -0.5 * lam * lam * deriv / (c_new[back] - self.c[back] - lam * deriv)
-        lam = np.where((0.1 * lam <= q) & (q <= 0.9 * lam), q, 0.5 * lam)
-        self.lam[back] = lam
         stop = np.zeros(acc.shape, dtype=bool)
-        stop[back] = lam < 1e-10  # no decrease along the projected direction
+        if not acc.all():  # a third of a pair's rounds have no lane to backtrack
+            # backtrack: safeguarded minimizer of the quadratic through c, deriv, c_new
+            back = (~acc).nonzero()[0]
+            lam, deriv = self.lam[back], self.deriv[back]
+            q = -0.5 * lam * lam * deriv / (c_new[back] - self.c[back] - lam * deriv)
+            lam = np.where((0.1 * lam <= q) & (q <= 0.9 * lam), q, 0.5 * lam)
+            self.lam[back] = lam
+            stop[back] = lam < 1e-10  # no decrease along the projected direction
 
         # Barzilai-Borwein step size, for the lanes that moved
         s = self.trial - self.u
@@ -824,13 +877,14 @@ class _Lanes:
         stop |= flat | failed
 
         rows = (acc & ~stop).nonzero()[0]
-        u, grad = self.u[rows], self.grad[rows]
-        d = _project_slopes(u - self.alpha[rows, None] * grad, dt)
-        d -= u
-        deriv = np.vecdot(grad, d)  # directional derivative along d
-        stop[rows] = -deriv <= _REFINE_RTOL * self.c[rows]
-        self.d[rows], self.deriv[rows], self.lam[rows] = d, deriv, 1.0
-        del d
+        if rows.size:
+            u, grad = self.u[rows], self.grad[rows]
+            d = _project_slopes(u - self.alpha[rows, None] * grad, dt)
+            d -= u
+            deriv = np.vecdot(grad, d)  # directional derivative along d
+            stop[rows] = -deriv <= _REFINE_RTOL * self.c[rows]
+            self.d[rows], self.deriv[rows], self.lam[rows] = d, deriv, 1.0
+            del d
 
         owners, warps = (), ()
         if np.count_nonzero(stop):

@@ -1,10 +1,17 @@
 import numpy as np
 import pytest
 
-from spdtraj.alignment import _dc_from_features, _evaluate, _point_features
-from spdtraj.estimation import CovarianceTrajectory, _built
+from spdtraj.alignment import (
+    _ZERO_SPEED,
+    _dc_from_features,
+    _evaluate,
+    _point_features,
+    resample_trajectory,
+)
+from spdtraj.estimation import CovarianceTrajectory, _built, grid_times, normalize_trajectory
 from spdtraj.geometry import (
     EPS_PD,
+    log_map_and_rotation,
     normalize_det,
     pair_matrix,
     sym_exp,
@@ -133,6 +140,40 @@ def parallel_transport(V, P1, P2):
     """Transport of identity-chart coordinates ``V`` at P1 to P2: ``O V O^T``."""
     O = transport_rotation(P1, P2)
     return symmetrize(O @ V @ O.T)
+
+
+def tsrvf_rows(traj, grid, include_logdet=False, w_det=None):
+    """TSRVF rows by the per-grid-pair route: resample, then one decomposition per grid pair.
+
+    ``traj`` is resampled onto ``grid`` points (`resample_trajectory`); row
+    k is the log map from resampled unit-determinant sample k to k+1 over
+    the grid step, from one `log_map_and_rotation` per pair, carried back
+    to the start by the chained transport rotations and scaled by the
+    inverse square root of its speed (with the log-det channel's rate when
+    it is included).  The last row repeats the one before it.  Each pair's
+    arithmetic is that of `alignment._trajectory_features` on a grid pair
+    that straddles an input sample.
+    """
+    unit, track = normalize_trajectory(resample_trajectory(traj, grid))
+    P, n = unit.matrices, unit.dim
+    s = grid_times(grid)
+    w_det = 1.0 / n if w_det is None else w_det
+    sdot = np.gradient(track, s)
+    q = np.empty((grid, n * n + include_logdet))
+    R = np.eye(n)
+    for k in range(grid):
+        if k < grid - 1:
+            V, O = log_map_and_rotation(P[k], P[k + 1])
+            V /= s[k + 1] - s[k]
+            speed = np.linalg.norm(V, axis=(-2, -1))
+            row = (R @ V) @ R.T
+            R = R @ O.T
+        rate = np.sqrt(speed**2 + w_det * sdot[k] ** 2) if include_logdet else speed
+        scale = 1.0 / np.sqrt(rate) if rate > _ZERO_SPEED else 0.0
+        q[k, : n * n] = (row * scale).ravel()
+        if include_logdet:
+            q[k, n * n] = np.sqrt(w_det) * sdot[k] * scale
+    return q
 
 
 # ---------------------------------------------------------------------------

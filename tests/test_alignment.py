@@ -242,6 +242,112 @@ def test_pair_kernel_on_stacks_matches_loop_over_pairs(rng):
 
 
 # ---------------------------------------------------------------------------
+# TSRVF rows from the ends of each input interval's run of grid points
+
+# the rows drift from those of the per-grid-pair route by roundoff: at most
+# 5.9e-12 of the largest entry at n=100 and 2.4e-13 at n=3 on the trajectories
+# below, and 8.0e-12 on the exp2 trajectories (n=100, seeds 0-2, grid 100)
+_ROW_TOL = 1e-10
+
+
+def _scaled_trajectory(n, T, seed):
+    """A random trajectory whose log-det track varies, for the log-det channel."""
+    from spdtraj.cli import _random_trajectory
+    from spdtraj.simgen import derived_rng
+
+    scale = np.exp(np.sin(np.linspace(0.0, 3.0, T)))[:, None, None]
+    return CovarianceTrajectory(
+        matrices=_random_trajectory(derived_rng(seed, "rows", n), n, T).matrices * scale
+    )
+
+
+@pytest.mark.parametrize("include_logdet", [False, True])
+@pytest.mark.parametrize("n", [3, 10, 100])
+def test_features_match_the_per_grid_pair_route(n, include_logdet):
+    from conftest import tsrvf_rows
+
+    T = 20
+    traj = _scaled_trajectory(n, T, 5)
+    # finer than the input, its own grid, coarser, and one whose even
+    # points lie on the input samples
+    for grid in (100, T, 12, 2 * T - 1):
+        got = A._trajectory_features(traj, grid, include_logdet, None).q
+        want = tsrvf_rows(traj, grid, include_logdet)
+        if grid <= T:  # every grid pair straddles an input sample
+            assert got.tobytes() == want.tobytes(), grid
+        else:
+            assert np.abs(got - want).max() <= _ROW_TOL * np.abs(want).max(), grid
+    # a one-sample trajectory is constant: on both routes a row's squared
+    # norm, its speed, is roundoff, so the rows are compared by that instead
+    point = CovarianceTrajectory(matrices=traj.matrices[:1])
+    for grid in (2, 40):
+        for q in (A._trajectory_features(point, grid, include_logdet, None).q,
+                  tsrvf_rows(point, grid, include_logdet)):
+            assert (q**2).sum(axis=1).max() <= 1e-10
+
+
+def test_features_build_the_ends_of_each_interval_run_only(monkeypatch, rng):
+    # a T=20 input on a grid of 100: each of its 19 intervals holds 5 or 6
+    # grid points, and only the first and last of them are built.  That is
+    # 38 points, of which the two ends of the grid are input samples and 36
+    # lie on a geodesic, joined by 37 pair SVDs: one across each interval's
+    # run and one across each of the 18 inner input samples.  The
+    # per-grid-pair route builds 100 points (98 on a geodesic) and makes 99
+    # SVDs
+    counts = {"points": 0, "geodesic": 0, "svd": 0}
+    walk, block, svd = A._walk, A._geodesic_block, A.log_map_and_rotation
+
+    def counted_walk(traj, s):
+        for b, values, smallest in walk(traj, s):
+            counts["points"] += values.shape[0]
+            yield b, values, smallest
+
+    def counted_block(P1, w, U, pair, t):
+        counts["geodesic"] += t.size
+        return block(P1, w, U, pair, t)
+
+    def counted_svd(P1, P2):
+        counts["svd"] += P1.shape[0]
+        return svd(P1, P2)
+
+    monkeypatch.setattr(A, "_walk", counted_walk)
+    monkeypatch.setattr(A, "_geodesic_block", counted_block)
+    monkeypatch.setattr(A, "log_map_and_rotation", counted_svd)
+    A._trajectory_features(sample_curve(smooth_unitdet_curve(rng, 3), 20), 100, False, None)
+    assert counts == {"points": 38, "geodesic": 36, "svd": 37}
+
+
+def test_a_geodesic_point_is_no_less_definite_than_the_ends_of_its_arc(rng):
+    # the points sqrt(A M^t A) square to the affine-invariant geodesic
+    # A^2 #_t B^2 between the squares of the ends, and so does each arc of
+    # it.  The AM-GM inequality for the matrix geometric mean, applied to
+    # the inverses, gives A^2 #_t B^2 >= ((1-t) A^-2 + t B^-2)^-1, whose
+    # smallest eigenvalue is at least the smaller of those of A^2 and B^2.
+    # So a point is no less definite than the two ends of any arc it lies
+    # on, and the features check only the points they build.  Roundoff
+    # moves a computed eigenvalue of a point by about n eps lmax^2 / lmin,
+    # from the eigenvalues of its square
+    from conftest import spread_unitdet_pair
+
+    pairs = [(random_unitdet(rng, n), random_unitdet(rng, n)) for n in (3, 10) for _ in range(5)]
+    pairs += [
+        spread_unitdet_pair(n, cond, seed, (0.0, np.inf))
+        for n in (3, 10)
+        for cond in (1e2, 1e4)
+        for seed in range(3)
+    ]
+    t = np.linspace(0.0, 1.0, 41)
+    for P1, P2 in pairs:
+        n = P1.shape[0]
+        w, U = _eigh_pd(pair_matrix(P1[None], P2[None]))
+        X, least = _geodesic_block(P1[None], w, U, np.zeros(t.size, dtype=np.intp), t)
+        tol = n * np.finfo(float).eps * np.linalg.eigvalsh(X)[:, -1].max() ** 2 / least.min()
+        for a in range(t.size):
+            for b in range(a + 2, t.size):
+                assert least[a + 1 : b].min() >= min(least[a], least[b]) - tol
+
+
+# ---------------------------------------------------------------------------
 # dist_dc
 
 
@@ -449,6 +555,24 @@ def _block_grams(rng, P, grid=40):
         )
         gr.fill(p, f1, f2)
     return gr
+
+
+def test_lattice_paths_do_not_depend_on_the_edge_chunks(rng):
+    # the DP forms the edge costs of a chunk of rows at once, fewer rows the
+    # more tables it runs: a row at a time for the 32 directed tables of 16
+    # pairs, 5 rows for 3 pairs and 16 for one.  Every pair gets the same
+    # paths in both directions however its slot is batched
+    P = 16
+    gr = _block_grams(rng, P)
+    dt = 1.0 / (gr.N1.shape[1] - 1)
+    whole = A._dp_lattice(gr, dt)
+    three = A._dp_lattice(gr, dt, [4, 9, 15])
+    batches = [(A._dp_lattice(gr, dt, [p]), [p]) for p in range(P)] + [(three, [4, 9, 15])]
+    for paths, slots in batches:
+        for b, p in enumerate(slots):
+            # directed table p aligns slot p's pair, table P + p is its mirror
+            for got, want in ((paths[b], whole[p]), (paths[len(slots) + b], whole[P + p])):
+                assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
 def test_refine_warp_stays_in_slope_window_and_beats_seed():
@@ -1107,8 +1231,9 @@ def _pair_stages(f1, f2, grid):
 @pytest.mark.parametrize("include_logdet", [False, True])
 def test_one_matrix_blocks_give_the_one_block_results(monkeypatch, include_logdet):
     # every per-matrix call and per-row sum is the one the whole stack makes,
-    # and the features streamed from the input samples are those of the
-    # resampled trajectory, bit for bit, at any block budget
+    # so the results are the same bits at any block budget; the features
+    # streamed from the input samples are those of the resampled trajectory
+    # within the rows' tolerance
     from spdtraj.cli import _random_trajectory
     from spdtraj.simgen import derived_rng
 
@@ -1119,7 +1244,7 @@ def test_one_matrix_blocks_give_the_one_block_results(monkeypatch, include_logde
         feats = [A._trajectory_features(t, grid, include_logdet, None) for t in trajs]
         for f, r in zip(feats, resampled):
             two_stage = A._trajectory_features(r, grid, include_logdet, None)
-            assert f.q.tobytes() == two_stage.q.tobytes()
+            assert np.abs(f.q - two_stage.q).max() <= _ROW_TOL * np.abs(two_stage.q).max()
             assert f.start.tobytes() == two_stage.start.tobytes()
             assert f.start_logdet == two_stage.start_logdet
         return resampled, feats, _pair_stages(*feats, grid)
@@ -1156,7 +1281,9 @@ def test_geodesic_point_rejection_in_a_later_block_matches_resampling(monkeypatc
     # the next.  An exact geodesic point never dips below both of its ends,
     # so EPS_PD is raised once the samples are built, past the last ones; a
     # resampled input carries its split, so its samples are not checked
-    # again, and the first points below it lie near the end of the grid
+    # again, and the first points below it lie near the end of the grid.
+    # The features build only the ends of each interval's run of grid
+    # points, so the eigenvalue they report is another point's
     x = 1e-3 * 0.5 ** np.arange(8)
     mats = np.stack([np.diag([x_k, 1.0 / x_k, 1.0]) for x_k in x])
     traj = resample_trajectory(CovarianceTrajectory(matrices=mats), 15)
@@ -1166,8 +1293,10 @@ def test_geodesic_point_rejection_in_a_later_block_matches_resampling(monkeypatc
         resample_trajectory(traj, 100)
     with pytest.raises(geometry.NotPositiveDefiniteError) as got:
         A._trajectory_features(traj, 100, False, None)
-    assert str(got.value) == str(want.value)
-    assert str(want.value).startswith("geodesic point is not positive definite")
+    for err in (want, got):
+        message = str(err.value)
+        assert message.startswith("geodesic point is not positive definite: smallest eigenvalue ")
+        assert float(message.split()[-3]) < 2e-5
 
 
 def test_rotation_rejection_fires_in_a_later_block(monkeypatch):
