@@ -71,10 +71,11 @@ a few blocks, not several stacks: at n=100 a 100-sample stack is 8 MB and a
 block is 16 matrices.  So the features hold no resampled stack, and a run
 of grid pairs that share one row is written row by row.  Only the
 warp search's Gram product takes a pair's transported rows whole, in one
-GEMM, since a GEMM over blocks of rows gives other bits.  Every per-matrix
-LAPACK call, GEMM and row sum is the one the whole stack would make, so the
-results do not depend on the budget.  A small-n trajectory fits in one
-block.
+GEMM, since a GEMM over blocks of rows gives other bits.  The lattice DP
+forms its edge costs a chunk of rows at a time, in half a budget.  Every
+per-matrix LAPACK call, GEMM and row sum is the one the whole stack would
+make, so the results do not depend on the budget.  A small-n trajectory
+fits in one block.
 """
 from __future__ import annotations
 
@@ -125,6 +126,7 @@ _REFINE_RTOL = 1e-7
 _PRESMOOTH_WIDTH = 2.0
 # A refinement that has not stopped after this many steps is not converged.
 _REFINE_MAXITER = 400
+_EPS = float(np.finfo(float).eps)  # read once: the projection runs every round
 
 
 @dataclass(frozen=True)
@@ -565,9 +567,10 @@ def _dp_lattice(
     (the (2,1) move needs the midpoint of adjacent q2 samples).  The
     directed tables of ``slots`` (forward, then mirrored) advance one row at
     a time together, and the DP keeps its last two rows.  The edge costs
-    depend on G alone, so they are formed for a chunk of rows at once; each
-    entry is computed exactly as it would be alone, so the chunks do not
-    change the bits.
+    depend on G alone, so they are formed for a chunk of rows at once, as
+    many as half a block budget (`geometry._BLOCK_BYTES`) holds; each entry
+    is computed exactly as it would be alone, so the chunks do not change
+    the bits.
     """
     N1, N2, C2 = gr.directed(slots)
     K, T = N1.shape
@@ -592,10 +595,10 @@ def _dp_lattice(
     D2 = D1  # row i-2
     move = np.zeros((K, T, T), dtype=np.int8)
     cand = np.full((3, K, T), np.inf)  # the moves' costs; unreachable entries stay inf
-    # the edge costs of the rows of a chunk are formed at once, from the
-    # terms of those rows and of the two before them: a few tables take many
-    # rows at a time, a pool of many tables one (its rows are long already)
-    rows = max(1, 32 // K)
+    # the DP's arrays stay within about one block budget: its moves, its
+    # last rows, and a chunk's terms, edge costs and their temporaries, about
+    # 11 arrays of K x T floats per row, in at most half of it
+    rows = max(1, geometry._BLOCK_BYTES // (2 * 11 * 8 * K * T))
     g = np.zeros((4, K, rows + 2, T))  # row -1 stays zero: no (2,1) move reads it
     terms(slice(0, 1), g[:, :, 1:2])
     for start in range(1, T, rows):
@@ -610,8 +613,11 @@ def _dp_lattice(
             np.add(D1[:, :-2], e2[:, j], out=cand[1, :, 2:])
             if i >= 2:
                 np.add(D2[:, :-1], e3[:, j], out=cand[2, :, 1:])
-            move[:, i] = cand.argmin(axis=0)
-            D2, D1 = D1, np.minimum.reduce(cand, axis=0)  # the costs of the moves taken
+            # the first move of least cost, as argmin takes it, and its cost
+            np.less(cand[1], cand[0], out=move[:, i])
+            D = np.minimum(cand[0], cand[1])
+            np.copyto(move[:, i], 2, where=cand[2] < D)
+            D2, D1 = D1, np.minimum(D, cand[2], out=D)
         g[:, :, :2] = g[:, :, stop - start : stop - start + 2]  # the next chunk's rows before
 
     paths = []
@@ -665,7 +671,7 @@ def _cost_evaluator(gr: _PairGrams):
         # temporaries are dropped as soon as they are used: the pool scores
         # many rows at once
         pos = np.zeros((U.shape[0], T))
-        np.cumsum(U, axis=1, out=pos[:, 1:])
+        np.add.accumulate(U, axis=1, out=pos[:, 1:])
         pos *= T - 1
         k = np.minimum(pos.astype(np.intp), T - 2)
         w = pos - k
@@ -685,14 +691,15 @@ def _cost_evaluator(gr: _PairGrams):
         del at, B1, B2, w
         m = U * (T - 1)
         sm = np.sqrt(m)
+        sm2 = 2.0 * sm
         fs = f[:, :-1] + f[:, 1:]
         bs = b[:, :-1] + b[:, 1:]
         del f, b
         cost = c0 + h * (np.vecdot(m, bs) - 2.0 * np.vecdot(sm, fs))
         # d cost / d gamma_j at knots 1..T-1, then through gamma = cumsum(u)
-        dg = h * (m * bp[:, 1:] - 2.0 * sm * fp[:, 1:])
-        dg[:, :-1] += h * (m[:, 1:] * bp[:, 1:-1] - 2.0 * sm[:, 1:] * fp[:, 1:-1])
-        return cost, 0.5 * (bs - fs / sm) + np.cumsum(dg[:, ::-1], axis=1)[:, ::-1]
+        dg = h * (m * bp[:, 1:] - sm2 * fp[:, 1:])
+        dg[:, :-1] += h * (m[:, 1:] * bp[:, 1:-1] - sm2[:, 1:] * fp[:, 1:-1])
+        return cost, 0.5 * (bs - fs / sm) + np.add.accumulate(dg[:, ::-1], axis=1)[:, ::-1]
 
     return fg
 
@@ -732,19 +739,21 @@ def _project_slopes(Y: np.ndarray, dt: float) -> np.ndarray:
     """
     lo, hi = _SLOPE_MIN * dt, _SLOPE_MAX * dt
     m = Y.shape[1]
-    eps = np.finfo(float).eps
+    eps = _EPS
     # rounding is monotone, so the bracket min(y) - hi equals min(y - hi)
-    a = (np.minimum.reduce(Y, axis=1) - hi).tolist()
-    b = (np.maximum.reduce(Y, axis=1) - lo).tolist()
-    lam = ((np.add.reduce(Y, axis=1) - 1.0) / m).tolist()
+    a = [y - hi for y in np.minimum.reduce(Y, axis=1).tolist()]
+    b = [y - lo for y in np.maximum.reduce(Y, axis=1).tolist()]
+    lam = [(total - 1.0) / m for total in np.add.reduce(Y, axis=1).tolist()]
     for _ in range(64):
-        z = Y - np.array(lam)[:, None]
-        u = np.minimum(np.maximum(z, lo), hi)
-        sums = np.add.reduce(u, axis=1).tolist()
-        free = np.add.reduce((z > lo) & (z < hi), axis=1).tolist()
+        u = Y - np.array(lam)[:, None]
+        np.maximum(u, lo, out=u)
+        np.minimum(u, hi, out=u)
+        excess = [total - 1.0 for total in np.add.reduce(u, axis=1).tolist()]
+        if all(abs(x) <= eps * m for x in excess):
+            break  # every sum is restored, whatever its free entries
+        free = np.add.reduce((u > lo) & (u < hi), axis=1).tolist()
         going = False
-        for r, (total, f, shift) in enumerate(zip(sums, free, lam)):
-            x = total - 1.0  # the excess
+        for r, (x, f, shift) in enumerate(zip(excess, free, lam)):
             if abs(x) <= eps * (m + f * abs(shift)):
                 continue  # a finished row keeps its shift, so it recomputes the same u
             going = True
@@ -782,8 +791,11 @@ class _Lanes:
 
     `advance` scores the pending trial of every lane with one stacked cost
     evaluation, accepts or backtracks each lane, and projects the steps of
-    the lanes that moved in one batch.  Each lane takes exactly the iterates
-    it would take alone, and its row leaves the arrays when it stops.
+    the lanes that moved in one batch.  The vectors of the lanes are array
+    rows, their scalars Python numbers: a round takes a few array
+    operations over all lanes and a few scalar steps per lane, each the
+    operation the array would make.  Each lane takes exactly the iterates
+    it would take alone, and it leaves the pool when it stops.
     """
 
     # per-lane vectors: the pending trial, the iterate and its gradient, and
@@ -802,14 +814,14 @@ class _Lanes:
         self.dt = 1.0 / (T - 1)
         self.maxiter = maxiter
         self.rounds = self.evaluations = self.nonconverged = 0
-        self.fresh = False  # some lane has not been scored yet
         self.buffers = {name: np.empty((capacity, T - 1)) for name in self._VECTORS}
         self._resize(0)
-        for name, value in self._SCALARS.items():
-            setattr(self, name, np.empty(0, dtype=np.asarray(value).dtype))
+        for name in self._SCALARS:
+            setattr(self, name, [])
+        self.tables = np.empty(0, dtype=np.intp)  # ``table`` as the cost evaluator reads it
 
     def __len__(self) -> int:
-        return self.owner.shape[0]
+        return len(self.owner)
 
     def _resize(self, n: int) -> None:
         """Point the per-lane vectors at the first ``n`` rows of their buffers."""
@@ -823,91 +835,99 @@ class _Lanes:
         self.trial[n:] = _project_slopes(np.diff(seeds, axis=1), self.dt)
         for name in ("u", "grad", "d"):
             getattr(self, name)[n:] = 0.0
-        given = {"owner": owners, "table": tables}
+        given = {"owner": [int(o) for o in owners], "table": [int(t) for t in tables]}
         for name, value in self._SCALARS.items():
-            old = getattr(self, name)
-            new = np.broadcast_to(given.get(name, value), k).astype(old.dtype)
-            setattr(self, name, np.concatenate([old, new]))
-        self.fresh = True
+            getattr(self, name).extend(given.get(name, [value] * k))
+        self.tables = np.array(self.table, dtype=np.intp)
 
     def advance(self, fg):
         """One round; returns the owners and refined warps of the lanes that stopped."""
-        dt = self.dt
-        c_new, g_new = fg(self.trial, self.table)
+        dt, L = self.dt, len(self)
+        c_new, g_new = fg(self.trial, self.tables)
         self.rounds += 1
-        self.evaluations += c_new.shape[0]
-        # Armijo test against the iterate's cost
-        acc = c_new <= self.c + 1e-4 * self.lam * self.deriv
-        stop = np.zeros(acc.shape, dtype=bool)
-        if not acc.all():  # a third of a pair's rounds have no lane to backtrack
-            # backtrack: safeguarded minimizer of the quadratic through c, deriv, c_new
-            back = (~acc).nonzero()[0]
-            lam, deriv = self.lam[back], self.deriv[back]
-            q = -0.5 * lam * lam * deriv / (c_new[back] - self.c[back] - lam * deriv)
-            lam = np.where((0.1 * lam <= q) & (q <= 0.9 * lam), q, 0.5 * lam)
-            self.lam[back] = lam
-            stop[back] = lam < 1e-10  # no decrease along the projected direction
-
-        # Barzilai-Borwein step size, for the lanes that moved
+        self.evaluations += L
+        # the Barzilai-Borwein step of a lane that moves
         s = self.trial - self.u
-        sy = np.vecdot(s, g_new - self.grad)
-        pos = sy > 0
-        alpha = np.where(
-            pos, np.minimum(np.maximum(np.vecdot(s, s) / np.where(pos, sy, 1.0), 1e-12), 1e3), 1e3 * dt
-        )
+        sy = np.vecdot(s, g_new - self.grad).tolist()
+        ss = np.vecdot(s, s).tolist()
         del s
-        if self.fresh:
+        first = {}  # the first step of a new lane
+        new = [l for l, k in enumerate(self.steps) if k < 0]
+        if new:
             # the first step moves no increment by much more than a tenth of dt
-            first = (self.steps < 0).nonzero()[0]
-            g0 = g_new[first]
+            g0 = g_new[new]
             spread = np.abs(g0 - g0.mean(axis=1, keepdims=True)).max(axis=1)
-            alpha[first] = 0.1 * dt / np.maximum(spread, 1e-300)
-            self.fresh = False
-        # an accepted step that gained less than the tolerance converges its
-        # lane, also the step that reaches the cap (a new lane's gain is inf)
-        flat = acc & (self.c - c_new < _REFINE_RTOL * c_new)
-        self.c = np.where(acc, c_new, self.c)
-        self.alpha = np.where(acc, alpha, self.alpha)
-        np.copyto(self.u, self.trial, where=acc[:, None])
-        np.copyto(self.grad, g_new, where=acc[:, None])
+            first = dict(zip(new, (0.1 * dt / np.maximum(spread, 1e-300)).tolist()))
+        acc, stop, failed = [False] * L, [False] * L, []
+        for l, cn in enumerate(c_new.tolist()):
+            c, lam, deriv = self.c[l], self.lam[l], self.deriv[l]
+            if not cn <= c + 1e-4 * lam * deriv:  # the Armijo test against the iterate's cost
+                # backtrack: safeguarded minimizer of the quadratic through c, deriv, cn
+                # (a zero denominator halves the step, as inf or nan from an array would)
+                den = cn - c - lam * deriv
+                q = -0.5 * lam * lam * deriv / den if den else np.nan
+                lam = q if 0.1 * lam <= q <= 0.9 * lam else 0.5 * lam
+                self.lam[l] = lam
+                stop[l] = lam < 1e-10  # no decrease along the projected direction
+                continue
+            acc[l] = True
+            if l in first:
+                alpha = first[l]
+            elif sy[l] > 0:
+                alpha = min(max(ss[l] / sy[l], 1e-12), 1e3)
+            else:
+                alpha = 1e3 * dt
+            # an accepted step that gained less than the tolerance converges its
+            # lane, also the step that reaches the cap (a new lane's gain is inf)
+            flat = c - cn < _REFINE_RTOL * cn
+            self.c[l], self.alpha[l] = cn, alpha
+            self.steps[l] += 1
+            # steps grow only when a lane moves, so a capped lane reached the cap just now
+            capped = self.steps[l] >= self.maxiter
+            if capped and not flat:
+                failed.append(l)
+            stop[l] = flat or capped
+        moved = np.array(acc)
+        np.copyto(self.u, self.trial, where=moved[:, None])
+        np.copyto(self.grad, g_new, where=moved[:, None])
         del g_new
-        self.steps += acc
-        # steps grow only when a lane moves, so these reached the cap just now
-        failed = (self.steps >= self.maxiter) & ~flat
-        stop |= flat | failed
 
-        rows = (acc & ~stop).nonzero()[0]
-        if rows.size:
+        rows = [l for l in range(L) if acc[l] and not stop[l]]
+        if rows:
             u, grad = self.u[rows], self.grad[rows]
-            d = _project_slopes(u - self.alpha[rows, None] * grad, dt)
+            alpha = np.array([self.alpha[l] for l in rows])
+            d = _project_slopes(u - alpha[:, None] * grad, dt)
             d -= u
-            deriv = np.vecdot(grad, d)  # directional derivative along d
-            stop[rows] = -deriv <= _REFINE_RTOL * self.c[rows]
-            self.d[rows], self.deriv[rows], self.lam[rows] = d, deriv, 1.0
+            self.d[rows] = d
+            # the directional derivative along d
+            for l, deriv in zip(rows, np.vecdot(grad, d).tolist()):
+                self.deriv[l], self.lam[l] = deriv, 1.0
+                stop[l] = -deriv <= _REFINE_RTOL * self.c[l]
             del d
 
         owners, warps = (), ()
-        if np.count_nonzero(stop):
-            out = stop.nonzero()[0]
-            warps = np.zeros((out.size, self.u.shape[1] + 1))
+        if any(stop):
+            out = [l for l in range(L) if stop[l]]
+            warps = np.zeros((len(out), self.u.shape[1] + 1))
             np.cumsum(self.u[out], axis=1, out=warps[:, 1:])
             warps[:, -1] = 1.0
-            owners = self.owner[out]
-            for c in self.c[failed]:
+            owners = [self.owner[l] for l in out]
+            for l in failed:
                 log.debug(
                     "warp refinement not converged after %d iterations (cost %.6g)",
                     self.maxiter,
-                    c,
+                    self.c[l],
                 )
-            self.nonconverged += int(np.count_nonzero(failed))
-            keep = ~stop
+            self.nonconverged += len(failed)
+            keep = [l for l in range(L) if not stop[l]]
             for name in self._VECTORS:
-                kept = getattr(self, name)[keep]
-                self.buffers[name][: kept.shape[0]] = kept
+                self.buffers[name][: len(keep)] = getattr(self, name)[keep]
             for name in self._SCALARS:
-                setattr(self, name, getattr(self, name)[keep])
-            self._resize(len(self))
-        np.add(self.u, self.lam[:, None] * self.d, out=self.trial)
+                values = getattr(self, name)
+                setattr(self, name, [values[l] for l in keep])
+            self._resize(len(keep))
+            self.tables = np.array(self.table, dtype=np.intp)
+        np.add(self.u, np.array(self.lam)[:, None] * self.d, out=self.trial)
         return owners, warps
 
 

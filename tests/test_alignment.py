@@ -324,9 +324,13 @@ def test_a_geodesic_point_is_no_less_definite_than_the_ends_of_its_arc(rng):
     # the inverses, gives A^2 #_t B^2 >= ((1-t) A^-2 + t B^-2)^-1, whose
     # smallest eigenvalue is at least the smaller of those of A^2 and B^2.
     # So a point is no less definite than the two ends of any arc it lies
-    # on, and the features check only the points they build.  Roundoff
-    # moves a computed eigenvalue of a point by about n eps lmax^2 / lmin,
-    # from the eigenvalues of its square
+    # on, and the features check only the points they build.  They check
+    # them with the log-det channel put back, least * exp(track), where the
+    # track interpolates linearly: the mean is jointly homogeneous, (s X) #_t
+    # (r Y) = s^(1-t) r^t X #_t Y, so the scaled points square to the
+    # geodesic between the squares of the scaled ends, and the bound holds
+    # for them too.  Roundoff moves a computed eigenvalue of a point by about
+    # n eps lmax^2 / lmin, from the eigenvalues of its square
     from conftest import spread_unitdet_pair
 
     pairs = [(random_unitdet(rng, n), random_unitdet(rng, n)) for n in (3, 10) for _ in range(5)]
@@ -342,9 +346,12 @@ def test_a_geodesic_point_is_no_less_definite_than_the_ends_of_its_arc(rng):
         w, U = _eigh_pd(pair_matrix(P1[None], P2[None]))
         X, least = _geodesic_block(P1[None], w, U, np.zeros(t.size, dtype=np.intp), t)
         tol = n * np.finfo(float).eps * np.linalg.eigvalsh(X)[:, -1].max() ** 2 / least.min()
-        for a in range(t.size):
-            for b in range(a + 2, t.size):
-                assert least[a + 1 : b].min() >= min(least[a], least[b]) - tol
+        for ends in ((0.0, 0.0), (-2.0, 1.5), (3.0, -1.0)):  # the log-det channel's
+            scaled = least * np.exp(np.interp(t, [0.0, 1.0], ends))
+            slack = tol * np.exp(max(ends))
+            for a in range(t.size):
+                for b in range(a + 2, t.size):
+                    assert scaled[a + 1 : b].min() >= min(scaled[a], scaled[b]) - slack
 
 
 # ---------------------------------------------------------------------------
@@ -557,15 +564,20 @@ def _block_grams(rng, P, grid=40):
     return gr
 
 
-def test_lattice_paths_do_not_depend_on_the_edge_chunks(rng):
-    # the DP forms the edge costs of a chunk of rows at once, fewer rows the
-    # more tables it runs: a row at a time for the 32 directed tables of 16
-    # pairs, 5 rows for 3 pairs and 16 for one.  Every pair gets the same
-    # paths in both directions however its slot is batched
+def test_lattice_paths_do_not_depend_on_the_edge_chunks(rng, monkeypatch):
+    # the DP forms the edge costs of a chunk of rows at once, as many as
+    # half a block budget holds: 5 of the 39 rows for the 32 directed tables
+    # of 16 pairs, 30 for 3 pairs, all of them for one, and a row at a time
+    # under a one-byte budget.  Every pair gets the same paths in both
+    # directions however its slot is batched and its rows are chunked
     P = 16
     gr = _block_grams(rng, P)
     dt = 1.0 / (gr.N1.shape[1] - 1)
     whole = A._dp_lattice(gr, dt)
+    monkeypatch.setattr(geometry, "_BLOCK_BYTES", 1)
+    rows = A._dp_lattice(gr, dt)
+    monkeypatch.undo()
+    assert all(np.array_equal(g, w) for r, h in zip(rows, whole) for g, w in zip(r, h))
     three = A._dp_lattice(gr, dt, [4, 9, 15])
     batches = [(A._dp_lattice(gr, dt, [p]), [p]) for p in range(P)] + [(three, [4, 9, 15])]
     for paths, slots in batches:
@@ -795,9 +807,9 @@ def _accepted_steps(gr, tables, seeds):
     accepted = {o: [] for o in range(len(seeds))}  # (cost, increments) per step
     warps = {}
     while len(lanes):
-        before = zip(lanes.owner.tolist(), lanes.steps.tolist())
+        before = zip(list(lanes.owner), list(lanes.steps))
         stopped = dict(zip(*lanes.advance(recording)))
-        after = dict(zip(lanes.owner.tolist(), lanes.steps.tolist()))
+        after = dict(zip(lanes.owner, lanes.steps))
         for (o, steps), u, c in zip(before, *scored[-1]):
             if o in stopped:
                 warps[o] = stopped[o]
